@@ -36,6 +36,9 @@ from .errors import FokasHeatError, NaNInIntegrand, NoConvergence, SingularNode
 from .transforms import BoundaryData, TransformFn
 
 _EXPONENT_GUARD = 60.0
+# smallest semi-infinite span: keeps log2 finite when every requested x is 0
+# (one-sided interface limits); the panel width there is set by the Gaussian
+_SPAN_FLOOR = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -208,12 +211,11 @@ class Numerics:
 class SolutionField:
     """Immutable evaluator mapping (x, t) to temperature plus layer tag.
 
-    Nodal data is cached per evaluation time (rebuilt when a batch requests
-    x beyond the span the contours were sized for) and refined by doubling
-    quadrature orders until probe values stabilize to the configured
-    tolerance.  Evaluation is pure; the only mutation is the first-use fill
-    of that cache, so concurrent readers at distinct times may at worst
-    duplicate a build.
+    Nodal data is cached per (layer, evaluation time, span) and refined by
+    doubling quadrature orders until probe values stabilize to the
+    configured tolerance.  Evaluation is pure; the only mutation is the
+    first-use fill of that cache, so concurrent readers at distinct times may
+    at worst duplicate a build.
     """
 
     def __init__(self, config: ProblemConfig, plans: list[LayerPlan], numerics: Numerics | None = None, label: str = ""):
@@ -329,10 +331,12 @@ class SolutionField:
     # -- public evaluation -------------------------------------------------
 
     def _span_for(self, idx: int, xs: np.ndarray) -> float:
+        """Largest |x| the layer's contours resolve: a finite layer's extent,
+        or for a semi-infinite layer the smallest power of two >= max|xs|."""
         layer = self.config.layers[idx]
         if math.isfinite(layer.x_lo) and math.isfinite(layer.x_hi):
             return max(abs(layer.x_lo), abs(layer.x_hi))
-        need = max(1.0, float(np.max(np.abs(xs))) if xs.size else 1.0)
+        need = max(_SPAN_FLOOR, float(np.max(np.abs(xs))) if xs.size else 0.0)
         return float(2.0 ** math.ceil(math.log2(need)))
 
     def values(self, x, t: float) -> np.ndarray:
@@ -341,7 +345,7 @@ class SolutionField:
             raise ValueError("evaluation requires t > 0")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(x.shape, dtype=float)
-        idxs = np.array([self.config.layer_index(xi) for xi in x])
+        idxs = self.config.layer_indices(x)
         for idx in np.unique(idxs):
             sel = idxs == idx
             xs = x[sel]

@@ -168,8 +168,12 @@ def _parse_grid(value, line_no, key):
             raise ParseError(f"{key}: count must be an integer", line_no)
         if n < 1:
             raise ParseError(f"{key}: count must be positive", line_no)
-        return np.linspace(lo, hi, n)
-    return np.array([_parse_float(tok, line_no, key) for tok in value.split(",") if tok.strip()])
+        grid = np.linspace(lo, hi, n)
+    else:
+        grid = np.array([_parse_float(tok, line_no, key) for tok in value.split(",") if tok.strip()])
+    if not np.all(np.isfinite(grid)):
+        raise ParseError(f"{key}: values must be finite, got {value!r}", line_no)
+    return grid
 
 
 def _exp_poly_source(terms, side, endpoint):
@@ -401,10 +405,11 @@ def _cmd_solve(config, manifest):
     with ThreadPoolExecutor(max_workers=_thread_count(len(ts))) as pool:
         results = list(pool.map(profile, ts))
 
+    layers = config.layer_indices(xs)
     lines = ["x,t,u,layer"]
     for t, us in zip(ts, results):
-        for x, u in zip(xs, us):
-            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)},{config.layer_index(float(x))}")
+        for x, u, layer in zip(xs, us, layers):
+            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)},{layer}")
     text = "\n".join(lines) + "\n"
     if manifest.out_path:
         with open(manifest.out_path, "w") as fh:

@@ -127,9 +127,7 @@ def truncation_radius(sigma_min, t, theta=THETA_DEFAULT, x_scale=0.0, eps=TRUNCA
 
 def _panel_edges(r0, R, panel_width):
     n = max(4, int(math.ceil((R - r0) / panel_width)))
-    # grade the first few panels geometrically so inner features are resolved
-    edges = list(np.linspace(r0, R, n + 1))
-    return edges
+    return list(np.linspace(r0, R, n + 1))
 
 
 def build_contour(

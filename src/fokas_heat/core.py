@@ -42,11 +42,6 @@ class LayerSpec:
     def width(self) -> float:
         return self.x_hi - self.x_lo
 
-    def contains(self, x, closed: bool = True) -> bool:
-        if closed:
-            return self.x_lo <= x <= self.x_hi
-        return self.x_lo < x < self.x_hi
-
 
 @dataclass(frozen=True)
 class EndCondition:
@@ -95,14 +90,25 @@ class ProblemConfig:
     def x_max(self) -> float:
         return self.layers[-1].x_hi
 
-    def layer_index(self, x: float) -> int:
-        """Index of the layer containing x (ties go to the left layer)."""
+    def layer_indices(self, xs) -> np.ndarray:
+        """Index of the layer containing each x (ties go to the left layer).
+
+        Raises DomainMismatch if any x (NaN included) lies outside the domain.
+        """
         from .errors import DomainMismatch
 
-        for i, layer in enumerate(self.layers):
-            if layer.contains(x):
-                return i
-        raise DomainMismatch(f"x={x} lies outside [{self.x_min}, {self.x_max}]")
+        xs = np.asarray(xs, dtype=float)
+        his = np.array([layer.x_hi for layer in self.layers])
+        idx = np.searchsorted(his, xs, side="left")
+        inside = (idx < len(self.layers)) & (xs >= self.x_min)
+        if not np.all(inside):
+            x = xs[~inside].flat[0]
+            raise DomainMismatch(f"x={x} lies outside [{self.x_min}, {self.x_max}]")
+        return idx
+
+    def layer_index(self, x: float) -> int:
+        """Index of the layer containing x (ties go to the left layer)."""
+        return int(self.layer_indices(x))
 
 
 @dataclass(frozen=True)

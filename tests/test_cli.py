@@ -123,6 +123,23 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert record["error"] == "TimeTooSmall"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("grid.t", "inf"), ("grid.t", "nan"), ("grid.x", "-1,nan,0.5")],
+)
+def test_nonfinite_grid_is_config_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad_grid.cfg"
+    cfg.write_text(
+        "geometry = two_finite\nsigma_left = 1\nsigma_right = 2\na = 1\nb = 1\n"
+        f"{key} = {value}\n"
+    )
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ParseError"
+    assert record["detail"].startswith(f"line 6: {key}:")
+
+
 def test_verify_exit_status_reflects_checks(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(

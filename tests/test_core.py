@@ -66,6 +66,33 @@ def test_layer_index_and_domain_mismatch(steady_slab_config):
         cfg.layer_index(5.0)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        fh.two_semi_infinite(1.0, 2.0),
+        fh.two_finite(1.0, 2.0, 1.0, 1.5),
+        fh.three_infinite(1.0, 2.0, 3.0, 0.5),
+        fh.three_finite(1.0, 2.0, 3.0, 1.0, 1.5, 2.5),
+    ],
+    ids=lambda cfg: cfg.geometry.value,
+)
+def test_layer_indices_ties_left_and_domain(cfg):
+    n = len(cfg.layers)
+    inside = [lay.x_hi - 0.25 if math.isfinite(lay.x_hi) else lay.x_lo + 0.25 for lay in cfg.layers]
+    faces = [lay.x_hi for lay in cfg.layers[:-1]]
+    ends = [x for x in (cfg.x_min, cfg.x_max) if math.isfinite(x)]
+    xs = np.array(inside + faces + ends)
+    expected = list(range(n)) + list(range(n - 1)) + [0 if x == cfg.x_min else n - 1 for x in ends]
+    np.testing.assert_array_equal(cfg.layer_indices(xs), expected)
+    assert [cfg.layer_index(float(x)) for x in xs] == expected
+    beyond = [x for x in (cfg.x_min - 1.0, cfg.x_max + 1.0) if math.isfinite(x)]
+    for x in beyond + [math.nan]:
+        with pytest.raises(DomainMismatch):
+            cfg.layer_index(x)
+        with pytest.raises(DomainMismatch):
+            cfg.layer_indices(np.array([inside[0], x]))
+
+
 def test_shift_to_canonical_two_layers():
     layers = [LayerSpec(1.0, 2.0, 5.0), LayerSpec(2.0, 5.0, 9.0)]
     shifted, offset = shift_to_canonical(layers)

@@ -138,6 +138,24 @@ def test_arc_radius_independence(fig5_config):
     assert np.max(np.abs(vals[2] - vals[1])) < 1e-8
 
 
+def _cached_nodes(sol):
+    return sum(k.size for nodal in sol._cache.values() for k, _c, _s in nodal)
+
+
+def test_span_follows_requested_x(fig5_config):
+    """Semi-infinite contours are sized to the batch's largest |x|: the fig5
+    grid needs a quarter of the nodes a batch reaching |x| = 1 needs, for
+    the same values."""
+    t = 0.01
+    xs = np.linspace(-0.1, 0.1, 400)
+    narrow = solve_two_semi_infinite(fig5_config)
+    u = narrow.values(xs, t)
+    wide = solve_two_semi_infinite(fig5_config)
+    u_wide = wide.values(np.concatenate(([-1.0], xs, [1.0])), t)[1:-1]
+    assert np.max(np.abs(u - u_wide)) <= 1e-12 * np.max(np.abs(u_wide))
+    assert _cached_nodes(narrow) <= _cached_nodes(wide) / 4
+
+
 def test_fig5_flux_ratio_and_continuity(fig5_config):
     sol = solve_two_semi_infinite(fig5_config)
     t = 0.01
