@@ -40,6 +40,20 @@ _EXPONENT_GUARD = 60.0
 # (one-sided interface limits); the panel width there is set by the Gaussian
 _SPAN_FLOOR = 2.0**-30
 
+# Chebyshev interpolation of one (layer, t) batch: only batches holding
+# _INTERP_POINTS_PER_NODE x per Chebyshev point are interpolated, so the
+# direct evaluations it costs (the n + 1 points plus about 2 (n + 1) checked
+# x) stay under 3/4 of the batch
+_INTERP_POINTS_PER_NODE = 4
+# terms lighter than this share of the summed term weights on the interval
+# do not set the degree; the margin covers the Bessel-like decay of the
+# Chebyshev coefficients of e^{ikx} beyond degree |k| * half-width, and
+# makes every degree at least _DEGREE_MARGIN
+_TERM_CUTOFF = 1e-16
+_DEGREE_MARGIN = 16
+# checked x must agree with direct evaluation to this times the tolerance
+_INTERP_CHECK = 1e-2
+
 
 @dataclass(frozen=True)
 class ExpSum:
@@ -195,6 +209,51 @@ def _term_nodal(term: KernelTerm, k, w, sigma, t, half):
     return out
 
 
+def _cheb_degree(nodal, lo: float, hi: float) -> Optional[int]:
+    """Chebyshev degree (a power of two) that resolves ``nodal`` on [lo, hi].
+
+    Term j contributes at most |c_j| e^{-Im k_j (x + shift)} there; among the
+    terms that matter, the largest |k_j| times the half-width sets the degree.
+    Returns None when the weights overflow.
+    """
+    weights = []
+    for k, coefs, shift in nodal:
+        grow = np.maximum(-k.imag * (lo + shift), -k.imag * (hi + shift))
+        with np.errstate(over="ignore"):
+            weights.append(np.abs(coefs) * np.exp(grow))
+    total = float(sum(np.sum(w) for w in weights))
+    if not math.isfinite(total):
+        return None
+    kmax = 0.0
+    for (k, _, _), w in zip(nodal, weights):
+        keep = w > _TERM_CUTOFF * total
+        if np.any(keep):
+            kmax = max(kmax, float(np.max(np.abs(k[keep]))))
+    need = kmax * 0.5 * (hi - lo) + _DEGREE_MARGIN
+    return 2 ** math.ceil(math.log2(need))
+
+
+def _cheb_interp(nodes: np.ndarray, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Barycentric interpolant through ``fvals`` at the Chebyshev extrema
+    ``nodes`` (second-kind formula; Berrut & Trefethen 2004), evaluated at x."""
+    n = nodes.size - 1
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    out = np.empty(x.size)
+    # chunked so the (nx, n + 1) matrices never exceed ~8 MB
+    step = max(1, 2**20 // (n + 1))
+    for i in range(0, x.size, step):
+        d = np.subtract.outer(x[i : i + step], nodes)
+        hit = d == 0.0
+        d[hit] = 1.0
+        q = w / d
+        part = (q @ fvals) / q.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        part[rows] = fvals[cols]
+        out[i : i + step] = part
+    return out
+
+
 @dataclass
 class Numerics:
     """Knobs for contour construction and refinement."""
@@ -213,9 +272,11 @@ class SolutionField:
 
     Nodal data is cached per (layer, evaluation time, span) and refined by
     doubling quadrature orders until probe values stabilize to the
-    configured tolerance.  Evaluation is pure; the only mutation is the
-    first-use fill of that cache, so concurrent readers at distinct times may
-    at worst duplicate a build.
+    configured tolerance.  A large batch of x in one layer is interpolated
+    from Chebyshev points and checked against direct sums at a subset of
+    its x (see ``_eval_batch``); the interpolant is not cached.  Evaluation
+    is pure; the only mutation is the first-use fill of the nodal cache, so
+    concurrent readers at distinct times may at worst duplicate a build.
     """
 
     def __init__(self, config: ProblemConfig, plans: list[LayerPlan], numerics: Numerics | None = None, label: str = ""):
@@ -328,6 +389,28 @@ class SolutionField:
             acc += phase_sum(x + shift if shift else x, k, coefs)
         return np.real(acc)
 
+    def _eval_batch(self, nodal, x: np.ndarray) -> np.ndarray:
+        """``_eval_nodal`` at a batch of x in one layer, by Chebyshev
+        interpolation when the batch is large enough to repay it and the
+        interpolant agrees with direct evaluation at a strided subset of x."""
+        # no degree is below _DEGREE_MARGIN, so smaller batches (probes,
+        # derivative stencils) skip even the degree estimate
+        if x.size < _INTERP_POINTS_PER_NODE * (_DEGREE_MARGIN + 1):
+            return self._eval_nodal(nodal, x)
+        lo, hi = float(np.min(x)), float(np.max(x))
+        n = _cheb_degree(nodal, lo, hi) if hi > lo else None
+        if n is None or _INTERP_POINTS_PER_NODE * (n + 1) > x.size:
+            return self._eval_nodal(nodal, x)
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
+        fvals = self._eval_nodal(nodal, nodes)
+        stride = x.size // (2 * (n + 1))
+        direct = self._eval_nodal(nodal, x[::stride])
+        out = _cheb_interp(nodes, fvals, x)
+        scale = max(float(np.max(np.abs(fvals))), float(np.max(np.abs(direct))), self._magnitude(nodal))
+        if float(np.max(np.abs(out[::stride] - direct))) <= _INTERP_CHECK * self.numerics.tolerance * scale:
+            return out
+        return self._eval_nodal(nodal, x)
+
     # -- public evaluation -------------------------------------------------
 
     def _span_for(self, idx: int, xs: np.ndarray) -> float:
@@ -355,7 +438,7 @@ class SolutionField:
                 continue
             span = self._span_for(idx, xs)
             nodal = self._nodal(idx, t, span)
-            vals = self._eval_nodal(nodal, xs)
+            vals = self._eval_batch(nodal, xs)
             if plan.closed_form is not None:
                 vals = vals + plan.closed_form(xs, t)
             out[sel] = vals
@@ -380,7 +463,7 @@ class SolutionField:
             return plan.delegate(x, t)
         span = self._span_for(idx, x)
         nodal = self._nodal(idx, t, span)
-        vals = self._eval_nodal(nodal, x)
+        vals = self._eval_batch(nodal, x)
         if plan.closed_form is not None:
             vals = vals + plan.closed_form(x, t)
         return vals

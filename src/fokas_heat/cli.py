@@ -282,75 +282,72 @@ def parse_config(text: str):
             raise ParseError("semi-infinite layers need exp_poly initial data", line)
         return _exp_poly_source(payload, side, endpoint)
 
-    try:
-        if geometry == Geometry.TWO_SEMI_INFINITE:
-            config = two_semi_infinite(
-                sigL,
-                sigR,
-                gamma_left=gamL,
-                gamma_right=gamR,
-                left_initial=halfline(left_init, "left", 0.0, left_line),
-                right_initial=halfline(right_init, "right", 0.0, right_line),
-            )
-        elif geometry == Geometry.TWO_FINITE:
-            if a is None or b is None:
-                raise ParseError("two_finite needs 'a' and 'b'", 1)
-            # non-Dirichlet ends flow through to the core validator, which
-            # reports UnsupportedBoundaryOperator with the offending field
-            from .core import EndCondition, LayerSpec, ProblemConfig, validate
+    if geometry == Geometry.TWO_SEMI_INFINITE:
+        config = two_semi_infinite(
+            sigL,
+            sigR,
+            gamma_left=gamL,
+            gamma_right=gamR,
+            left_initial=halfline(left_init, "left", 0.0, left_line),
+            right_initial=halfline(right_init, "right", 0.0, right_line),
+        )
+    elif geometry == Geometry.TWO_FINITE:
+        if a is None or b is None:
+            raise ParseError("two_finite needs 'a' and 'b'", 1)
+        # non-Dirichlet ends flow through to the core validator, which
+        # reports UnsupportedBoundaryOperator with the offending field
+        from .core import EndCondition, LayerSpec, ProblemConfig, validate
 
-            def end_of(bc):
-                if bc is None or bc[0] == "dirichlet":
-                    return EndCondition.dirichlet(bc[1] if bc else 0.0)
-                return EndCondition.neumann_zero()
+        def end_of(bc):
+            if bc is None or bc[0] == "dirichlet":
+                return EndCondition.dirichlet(bc[1] if bc else 0.0)
+            return EndCondition.neumann_zero()
 
-            config = validate(
-                ProblemConfig(
-                    Geometry.TWO_FINITE,
-                    (LayerSpec(sigL, -a, 0.0), LayerSpec(sigR, 0.0, b)),
-                    (
-                        _finite_source(left_init, -a, 0.0) if left_init else None,
-                        _finite_source(right_init, 0.0, b) if right_init else None,
-                    ),
-                    end_left=end_of(bc_left),
-                    end_right=end_of(bc_right),
-                )
+        config = validate(
+            ProblemConfig(
+                Geometry.TWO_FINITE,
+                (LayerSpec(sigL, -a, 0.0), LayerSpec(sigR, 0.0, b)),
+                (
+                    _finite_source(left_init, -a, 0.0) if left_init else None,
+                    _finite_source(right_init, 0.0, b) if right_init else None,
+                ),
+                end_left=end_of(bc_left),
+                end_right=end_of(bc_right),
             )
-        elif geometry == Geometry.THREE_INFINITE:
-            if a is None:
-                raise ParseError("three_infinite needs 'a'", 1)
-            if sigM is None:
-                raise ParseError("three_infinite needs 'sigma_middle'", 1)
-            config = three_infinite(
-                sigL,
-                sigM,
-                sigR,
-                a,
-                left_initial=halfline(left_init, "left", -a, left_line),
-                middle_initial=_finite_source(mid_init, -a, a) if mid_init else None,
-                right_initial=halfline(right_init, "right", a, right_line),
-            )
-        else:
-            if a is None or b is None or c is None:
-                raise ParseError("three_finite needs 'a', 'b' and 'c'", 1)
-            if sigM is None:
-                raise ParseError("three_finite needs 'sigma_middle'", 1)
-            for name, bc, line in (("bc.left", bc_left, bcl_line), ("bc.right", bc_right, bcr_line)):
-                if bc is not None and bc[0] != "neumann_zero":
-                    raise ParseError(f"{name}: three_finite supports insulated ends only", line)
-            config = three_finite(
-                sigL,
-                sigM,
-                sigR,
-                a,
-                b,
-                c,
-                left_initial=_finite_source(left_init, -a, 0.0) if left_init else None,
-                middle_initial=_finite_source(mid_init, 0.0, b) if mid_init else None,
-                right_initial=_finite_source(right_init, b, c) if right_init else None,
-            )
-    except ConfigValidationError:
-        raise
+        )
+    elif geometry == Geometry.THREE_INFINITE:
+        if a is None:
+            raise ParseError("three_infinite needs 'a'", 1)
+        if sigM is None:
+            raise ParseError("three_infinite needs 'sigma_middle'", 1)
+        config = three_infinite(
+            sigL,
+            sigM,
+            sigR,
+            a,
+            left_initial=halfline(left_init, "left", -a, left_line),
+            middle_initial=_finite_source(mid_init, -a, a) if mid_init else None,
+            right_initial=halfline(right_init, "right", a, right_line),
+        )
+    else:
+        if a is None or b is None or c is None:
+            raise ParseError("three_finite needs 'a', 'b' and 'c'", 1)
+        if sigM is None:
+            raise ParseError("three_finite needs 'sigma_middle'", 1)
+        for name, bc, line in (("bc.left", bc_left, bcl_line), ("bc.right", bc_right, bcr_line)):
+            if bc is not None and bc[0] != "neumann_zero":
+                raise ParseError(f"{name}: three_finite supports insulated ends only", line)
+        config = three_finite(
+            sigL,
+            sigM,
+            sigR,
+            a,
+            b,
+            c,
+            left_initial=_finite_source(left_init, -a, 0.0) if left_init else None,
+            middle_initial=_finite_source(mid_init, 0.0, b) if mid_init else None,
+            right_initial=_finite_source(right_init, b, c) if right_init else None,
+        )
 
     xg_raw, xg_line = take("grid.x")
     tg_raw, tg_line = take("grid.t")
@@ -392,9 +389,22 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _csv_text(xs, ts, results, layers) -> str:
+    """CSV rows ``x,t,u,layer`` for every time in ``ts`` and x in ``xs``,
+    formatting each x and each t once."""
+    xcol = [_fmt(x) for x in xs.tolist()]
+    lcol = layers.tolist()
+    lines = ["x,t,u,layer"]
+    for t, us in zip(ts, results):
+        tcol = f",{_fmt(t)},"
+        lines.extend(f"{x}{tcol}{u:.17g},{layer}" for x, u, layer in zip(xcol, us.tolist(), lcol))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_solve(config, manifest):
     sol = solve_config(config, manifest.numerics())
-    xs = np.array([x for x in manifest.x_grid if config.x_min <= x <= config.x_max])
+    grid = manifest.x_grid
+    xs = grid[(config.x_min <= grid) & (grid <= config.x_max)]
     if xs.size == 0:
         raise ParseError("grid.x lies entirely outside the domain", 1)
 
@@ -405,12 +415,7 @@ def _cmd_solve(config, manifest):
     with ThreadPoolExecutor(max_workers=_thread_count(len(ts))) as pool:
         results = list(pool.map(profile, ts))
 
-    layers = config.layer_indices(xs)
-    lines = ["x,t,u,layer"]
-    for t, us in zip(ts, results):
-        for x, u, layer in zip(xs, us, layers):
-            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(u)},{layer}")
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(xs, ts, results, config.layer_indices(xs))
     if manifest.out_path:
         with open(manifest.out_path, "w") as fh:
             fh.write(text)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigValidationError
+from .errors import ConfigValidationError, DomainMismatch
 from .transforms import BoundaryData, ExpPolynomial, SampledInterval
 
 
@@ -93,14 +93,13 @@ class ProblemConfig:
     def layer_indices(self, xs) -> np.ndarray:
         """Index of the layer containing each x (ties go to the left layer).
 
-        Raises DomainMismatch if any x (NaN included) lies outside the domain.
+        Raises DomainMismatch if any x (NaN and +-inf included) lies outside
+        the domain.
         """
-        from .errors import DomainMismatch
-
         xs = np.asarray(xs, dtype=float)
         his = np.array([layer.x_hi for layer in self.layers])
         idx = np.searchsorted(his, xs, side="left")
-        inside = (idx < len(self.layers)) & (xs >= self.x_min)
+        inside = (idx < len(self.layers)) & (xs >= self.x_min) & np.isfinite(xs)
         if not np.all(inside):
             x = xs[~inside].flat[0]
             raise DomainMismatch(f"x={x} lies outside [{self.x_min}, {self.x_max}]")

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fokas_heat.cli import main, parse_config
+import fokas_heat as fh
+from fokas_heat.cli import _csv_text, main, parse_config
 from fokas_heat.core import Geometry
 from fokas_heat.errors import ConfigValidationError, ParseError, UnknownKey
 
@@ -209,3 +210,27 @@ def test_steady_unsupported_geometry(tmp_path, capsys):
     rc = main(["steady", "--config", str(cfg)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+
+def _csv_by_rows(xs, ts, results, layers):
+    """The CSV as a plain per-row loop formats it: the reference for _csv_text."""
+    lines = ["x,t,u,layer"]
+    for t, us in zip(ts, results):
+        for x, u, layer in zip(xs, us, layers):
+            lines.append(f"{x:.17g},{t:.17g},{u:.17g},{layer}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_matches_row_loop():
+    config = fh.three_finite(1.0, 2.0, 3.0, 1.0, 1.5, 2.5)
+    # both ends, both interfaces (ties go left), signed zero, subnormal x
+    xs = np.array([-1.0, -0.5, -0.0, 0.0, 5e-324, 1.0 / 3.0, 1.5, 1.5 + 2e-16, 2.5])
+    layers = config.layer_indices(xs)
+    ts = (1e-300, 0.1, 7.0 / 3.0)
+    results = [
+        np.array([-0.0, 0.0, 1e308, -1.7976931348623157e308, 5e-324, -2.2e-308, np.pi, 1e-17, -1.0]),
+        np.linspace(-1.0, 1.0, xs.size) ** 3,
+        np.full(xs.size, 1.0 / 3.0),
+    ]
+    assert layers.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2]
+    assert _csv_text(xs, ts, results, layers) == _csv_by_rows(xs, ts, results, layers)

@@ -86,7 +86,7 @@ def test_layer_indices_ties_left_and_domain(cfg):
     np.testing.assert_array_equal(cfg.layer_indices(xs), expected)
     assert [cfg.layer_index(float(x)) for x in xs] == expected
     beyond = [x for x in (cfg.x_min - 1.0, cfg.x_max + 1.0) if math.isfinite(x)]
-    for x in beyond + [math.nan]:
+    for x in beyond + [math.nan, math.inf, -math.inf]:
         with pytest.raises(DomainMismatch):
             cfg.layer_index(x)
         with pytest.raises(DomainMismatch):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import fokas_heat as fh
+from fokas_heat import _field
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import heat_kernel_whole_line
 from fokas_heat.solver_semi_infinite import (
@@ -154,6 +157,18 @@ def test_span_follows_requested_x(fig5_config):
     u_wide = wide.values(np.concatenate(([-1.0], xs, [1.0])), t)[1:-1]
     assert np.max(np.abs(u - u_wide)) <= 1e-12 * np.max(np.abs(u_wide))
     assert _cached_nodes(narrow) <= _cached_nodes(wide) / 4
+
+
+def test_fig5_batch_declines_interpolation(fig5_config, monkeypatch):
+    """fig5's 200-point layers need 64-256 Chebyshev points, too many to
+    repay interpolation: the values are those of direct evaluation, bit for
+    bit."""
+    t = 0.005
+    xs = np.linspace(-0.1, 0.1, 400)
+    sol = solve_two_semi_infinite(fig5_config)
+    u = sol.values(xs, t)
+    monkeypatch.setattr(_field, "_INTERP_POINTS_PER_NODE", math.inf)
+    assert np.array_equal(u, sol.values(xs, t))
 
 
 def test_fig5_flux_ratio_and_continuity(fig5_config):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 import fokas_heat as fh
+from fokas_heat import _field
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import crank_nicolson, make_grid, single_medium_neumann_series
 from fokas_heat.solver_finite import (
@@ -163,3 +166,52 @@ def test_arc_radius_independence(three_finite_config):
 def test_eval_wrapper(three_finite_config):
     sol = solve_three_finite(three_finite_config, "restricted")
     assert eval_three_finite(sol, 1.5, 0.2).layer_index == 2
+
+
+def _count_phase_sum_points(monkeypatch):
+    """Patch the field's phase_sum to count the x points it is given."""
+    seen = [0]
+    inner = _field.phase_sum
+
+    def counting(x, k, c):
+        seen[0] += np.size(x)
+        return inner(x, k, c)
+
+    monkeypatch.setattr(_field, "phase_sum", counting)
+    return seen
+
+
+def test_large_batch_is_interpolated(three_finite_config, monkeypatch):
+    """A 1e4-point batch comes from Chebyshev points plus a checked subset:
+    it matches direct evaluation to 1e-12 of max|u| and passes phase_sum
+    at most 5% of the x that direct evaluation passes."""
+    t = 0.06
+    xs = np.linspace(-1.0, 2.0, 10_000)
+    sol = solve_three_finite(three_finite_config)
+    sol.values(xs[::100], t)  # fills the nodal cache; too few x to interpolate
+    points = _count_phase_sum_points(monkeypatch)
+    u = sol.values(xs, t)
+    interpolated = points[0]
+    monkeypatch.setattr(_field, "_INTERP_POINTS_PER_NODE", math.inf)
+    points[0] = 0
+    direct = sol.values(xs, t)
+    assert np.max(np.abs(u - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert interpolated <= 0.05 * points[0]
+
+
+def test_rejected_interpolant_falls_back(three_finite_config, monkeypatch):
+    """With the degree estimate forced far too low the check rejects the
+    interpolant, and every x is evaluated directly."""
+    t = 0.06
+    xs = np.linspace(-1.0, 2.0, 10_000)
+    sol = solve_three_finite(three_finite_config)
+    sol.values(xs[::100], t)
+    monkeypatch.setattr(_field, "_cheb_degree", lambda nodal, lo, hi: 4)
+    points = _count_phase_sum_points(monkeypatch)
+    u = sol.values(xs, t)
+    tried = points[0]
+    monkeypatch.setattr(_field, "_INTERP_POINTS_PER_NODE", math.inf)
+    points[0] = 0
+    direct = sol.values(xs, t)
+    assert np.array_equal(u, direct)
+    assert tried > points[0]  # the interpolant was built and checked first
