@@ -256,10 +256,14 @@ def _cheb_interp(nodes: np.ndarray, fvals: np.ndarray, x: np.ndarray) -> np.ndar
 
 @dataclass
 class Numerics:
-    """Knobs for contour construction and refinement."""
+    """Knobs for contour construction and refinement.
+
+    ``arc_radius`` None means the largest admissible arc, a third of the
+    Gaussian truncation radius; a number is capped there.
+    """
 
     theta: float = THETA_DEFAULT
-    arc_radius: float = 1.0
+    arc_radius: Optional[float] = None
     avoid_origin: Optional[bool] = None  # None: arc only where the plan needs it
     order: int = 16
     tolerance: float = 1e-10

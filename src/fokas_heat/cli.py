@@ -33,6 +33,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class RunManifest:
     command: str = "solve"
     x_grid: np.ndarray = field(default_factory=lambda: np.linspace(0, 1, 2))
     t_values: tuple[float, ...] = (0.1,)
-    arc_radius: float = 1.0
+    arc_radius: Optional[float] = None  # None: the contours' largest admissible arc
     tolerance: float = 1e-10
     out_path: str = ""
 

@@ -7,7 +7,20 @@ converge, so each half is deformed toward the real axis: two rays at angle
 ``theta`` off the axis, optionally joined by a half-circle arc of radius r
 through +-i r so the path avoids the origin (needed whenever a denominator
 function vanishes at k = 0).  Cauchy's theorem makes the results independent
-of both theta and r, which the test suite asserts directly.
+of both theta and r, which the test suite asserts directly.  The arc radius
+defaults to R_gauss/3, the largest the Gaussian truncation admits (see
+:func:`build_contour`); a given radius is capped there.
+
+Half contours: the data and interface conditions are real, so every
+integrand satisfies f(-conj k) = conj f(k) on these contours, which are
+symmetric under k -> -conj(k).  The Re k < 0 half only repeats the Re k > 0
+half, and for real x
+
+    u(x) = 2 Re sum_{Re k > 0} c(k) e^{ikx},
+
+so only the Re k > 0 half is built, with doubled weights (see
+:class:`SpectralContour`).  Complex initial or boundary data would break
+the identity; configuration validation rejects it.
 
 Truncation: along a ray at angle theta, |exp(-(sigma k)^2 t)| equals
 exp(-(sigma|k|)^2 t cos(2 theta)), so the radius R solves
@@ -29,7 +42,7 @@ import numpy as np
 
 from ._accel import cached_leggauss as leggauss
 
-from .errors import NaNInIntegrand, NoConvergence, TimeTooSmall
+from .errors import TimeTooSmall
 
 THETA_DEFAULT = math.pi / 8.0
 TRUNCATION_EPS = 1e-16
@@ -61,15 +74,24 @@ class _Piece:
 
 @dataclass(frozen=True)
 class SpectralContour:
-    """Oriented quadrature path in the complex wavenumber plane.
+    """Quadrature nodes on the Re k > 0 half of an oriented contour.
 
-    ``half`` is "upper", "lower", or "real".  Upper contours run in from
-    infinity at angle pi - theta, (optionally) around the arc through i*r,
-    and back out at angle theta -- the same orientation as the real line, so
-    integrals of functions analytic in between agree with the real-line
-    integral.  Lower contours are the mirror image (in along -theta, out
-    along -(pi - theta)); for those the matching identity carries a minus
-    sign relative to the real line.
+    ``half`` is "upper", "lower", or "real".  The full upper contour runs in
+    from infinity at angle pi - theta, (optionally) around the arc through
+    i*r, and back out at angle theta -- the same orientation as the real
+    line, so integrals of functions analytic in between agree with the
+    real-line integral.  The full lower contour is its mirror image (in
+    along -theta, out along -(pi - theta)); for it the matching identity
+    carries a minus sign relative to the real line.
+
+    Every full contour is symmetric under k -> -conj(k), which maps its
+    Re k < 0 half onto the Re k > 0 half with conjugated weights.  For an
+    integrand with f(-conj k) = conj f(k) (real data and real interface
+    conditions, e^{ikx} at real x) the full integral is therefore
+    2 Re sum_{Re k > 0} w f(k), and only that half is stored: the outgoing
+    ray and the arc from pi/2 down to theta (upper), the incoming ray and
+    the arc from -theta down to -pi/2 (lower), or [0, R] (real), each with
+    doubled weights.  Callers take the real part of the weighted sum.
     """
 
     half: str
@@ -81,21 +103,6 @@ class SpectralContour:
     theta: float
     order: int
 
-    def refined(self, factor: int = 2) -> "SpectralContour":
-        """Same path with ``factor`` times the per-piece quadrature order."""
-        return _assemble(
-            self.half,
-            self.pieces,
-            self.truncation_radius,
-            self.arc_radius,
-            self.theta,
-            self.order * factor,
-        )
-
-    @property
-    def min_abs_node(self) -> float:
-        return float(np.min(np.abs(self.nodes)))
-
 
 def _assemble(half, pieces, R, r, theta, order):
     ks, ws = [], []
@@ -103,11 +110,12 @@ def _assemble(half, pieces, R, r, theta, order):
         k, w = piece.nodes(order)
         ks.append(k)
         ws.append(w)
+    # doubled weights stand in for the mirrored Re k < 0 half
     return SpectralContour(
         half,
         tuple(pieces),
         np.concatenate(ks),
-        np.concatenate(ws),
+        2.0 * np.concatenate(ws),
         R,
         r,
         theta,
@@ -136,7 +144,7 @@ def build_contour(
     t,
     x_scale=0.0,
     avoid_origin=True,
-    r=1.0,
+    r=None,
     *,
     theta=THETA_DEFAULT,
     order=16,
@@ -145,7 +153,7 @@ def build_contour(
     eps=TRUNCATION_EPS,
     min_radius=0.0,
 ):
-    """Build a truncated, deformed half-contour with quadrature nodes.
+    """Build the Re k > 0 half of a truncated, deformed contour.
 
     Parameters
     ----------
@@ -161,9 +169,10 @@ def build_contour(
     avoid_origin : bool
         Insert the half-circle arc through +-i r.  Required whenever the
         integrand has a denominator vanishing at k = 0; harmless otherwise.
-    r : float
-        Arc radius.  Shrunk automatically to R/3 when the truncation radius
-        R is small (large t); results are r-independent by Cauchy's theorem.
+    r : float or None
+        Arc radius.  None means R_gauss/3, the largest admissible radius
+        (R_gauss is the Gaussian truncation radius); a number is capped
+        there.  Results are r-independent by Cauchy's theorem.
     min_radius : float
         Floor on the truncation radius.  Boundary-data kernels decay only
         like 1/k with ray-pair cancellation setting in at a t-independent
@@ -188,7 +197,13 @@ def build_contour(
 
     # the arc dips into the region where Re(k^2) < 0 and exp(-(sigma k)^2 t)
     # grows, so its radius must stay a fraction of the *Gaussian* radius
-    r_eff = min(r, R_gauss / 3.0) if avoid_origin else 0.0
+    r_max = R_gauss / 3.0
+    if not avoid_origin:
+        r_eff = 0.0
+    elif r is None:
+        r_eff = r_max
+    else:
+        r_eff = min(r, r_max)
 
     # panel width limited by oscillation (x_scale), the Gaussian feature
     # width 1/(sigma sqrt t), and an optional caller-supplied feature scale
@@ -199,30 +214,29 @@ def build_contour(
     if feature_scale is not None:
         width = min(width, feature_scale)
 
-    pieces = []
-    # upper: in at pi - theta, around the arc through +i r, out at theta
-    # (same net orientation as the real line); lower: in at -theta, around
-    # the arc through -i r, out at -(pi - theta), so that for integrands
-    # analytic and decaying in between, lower integrals equal MINUS the
-    # real-line integral while upper ones equal it.
-    if half == "upper":
-        a_in, a_out = math.pi - theta, theta
-    else:
-        a_in, a_out = -theta, -(math.pi - theta)
-    e_in = np.exp(1j * a_in)
-    e_out = np.exp(1j * a_out)
+    # Re k > 0 half of the full path.  upper: around the arc from +i r down
+    # to angle theta, then out along the ray (the full path runs in at
+    # pi - theta and out at theta, the real line's orientation); lower: the
+    # mirror image k -> conj(k) traversed backwards (in along the ray at
+    # -theta, then around the arc to -i r), so that for integrands analytic
+    # and decaying in between, lower integrals equal MINUS the real-line
+    # integral while upper ones equal it.
     edges = _panel_edges(r_eff, R, width)
-    # incoming ray: from R e^{i(pi-theta)} toward the origin (upper half)
-    for hi, lo in zip(edges[::-1][:-1], edges[::-1][1:]):
-        pieces.append(_Piece("ray", hi * e_in, lo * e_in))
-    if avoid_origin and r_eff > 0:
-        n_arc = max(2, int(math.ceil(abs(a_in - a_out) / 0.8)))
-        phis = np.linspace(a_in, a_out, n_arc + 1)
+    sign = 1.0 if half == "upper" else -1.0
+    e_ray = np.exp(1j * sign * theta)
+    pieces = []
+    if r_eff > 0:
+        n_arc = max(1, math.ceil((math.pi / 2.0 - theta) / 0.8))
+        phis = sign * np.linspace(math.pi / 2.0, theta, n_arc + 1)
         for p0, p1 in zip(phis[:-1], phis[1:]):
             pieces.append(_Piece("arc", 0, 0, a_from=p0, a_to=p1, radius=r_eff))
-    # outgoing ray
     for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces.append(_Piece("ray", lo * e_out, hi * e_out))
+        pieces.append(_Piece("ray", lo * e_ray, hi * e_ray))
+    if half == "lower":
+        pieces = [
+            _Piece(p.kind, p.end, p.start, a_from=p.a_to, a_to=p.a_from, radius=p.radius)
+            for p in reversed(pieces)
+        ]
 
     return _assemble(half, pieces, R, r_eff, theta, order)
 
@@ -237,7 +251,9 @@ def real_line_contour(
     feature_scale=None,
     eps=TRUNCATION_EPS,
 ):
-    """Quadrature nodes on [-R, R] for real-axis Fourier inversion integrals.
+    """Quadrature nodes on [0, R], with doubled weights, for real-axis
+    Fourier inversion integrals over [-R, R] (the [-R, 0] half mirrors it;
+    see :class:`SpectralContour`).
 
     Truncation uses the same Gaussian rule as the deformed contours (with
     cos(2 theta) = 1 on the axis).
@@ -256,38 +272,5 @@ def real_line_contour(
     if feature_scale is not None:
         width = min(width, feature_scale)
     edges = _panel_edges(0.0, R, width)
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces.append(_Piece("ray", complex(-hi), complex(-lo)))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces.append(_Piece("ray", complex(lo), complex(hi)))
+    pieces = [_Piece("ray", complex(lo), complex(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     return _assemble("real", tuple(pieces), R, 0.0, 0.0, order)
-
-
-def integrate(contour, integrand, tol=1e-10, max_refine=5):
-    """Integrate ``integrand`` along the contour with node-doubling control.
-
-    The integrand must be analytic between the nominal boundary and the
-    deformed path and decay at the truncation radius.  Refinement doubles
-    the per-piece Gauss-Legendre order until two successive results agree
-    within ``tol`` relative to the result magnitude (with a cancellation-
-    aware floor); raises NoConvergence otherwise, NaNInIntegrand on NaNs.
-    """
-    cur = contour
-    vals = np.asarray(integrand(cur.nodes), dtype=complex)
-    if np.any(np.isnan(vals)):
-        raise NaNInIntegrand("integrand returned NaN on the contour")
-    acc = complex(np.sum(cur.weights * vals))
-    for _ in range(max_refine):
-        nxt = cur.refined(2)
-        vals = np.asarray(integrand(nxt.nodes), dtype=complex)
-        if np.any(np.isnan(vals)):
-            raise NaNInIntegrand("integrand returned NaN on the refined contour")
-        acc2 = complex(np.sum(nxt.weights * vals))
-        scale = max(abs(acc2), 1e-3 * float(np.sum(np.abs(nxt.weights * vals))), 1e-300)
-        if abs(acc2 - acc) <= tol * scale:
-            return acc2
-        cur, acc = nxt, acc2
-    raise NoConvergence(
-        f"contour integral did not stabilize to {tol:g} after {max_refine} doublings"
-    )

@@ -13,8 +13,10 @@ Temperatures are dimensionless reals; no unit system is attached.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -90,6 +92,10 @@ class ProblemConfig:
     def x_max(self) -> float:
         return self.layers[-1].x_hi
 
+    @cached_property
+    def _right_edges(self) -> tuple[float, ...]:
+        return tuple(layer.x_hi for layer in self.layers)
+
     def layer_indices(self, xs) -> np.ndarray:
         """Index of the layer containing each x (ties go to the left layer).
 
@@ -97,8 +103,7 @@ class ProblemConfig:
         the domain.
         """
         xs = np.asarray(xs, dtype=float)
-        his = np.array([layer.x_hi for layer in self.layers])
-        idx = np.searchsorted(his, xs, side="left")
+        idx = np.searchsorted(self._right_edges, xs, side="left")
         inside = (idx < len(self.layers)) & (xs >= self.x_min) & np.isfinite(xs)
         if not np.all(inside):
             x = xs[~inside].flat[0]
@@ -106,8 +111,14 @@ class ProblemConfig:
         return idx
 
     def layer_index(self, x: float) -> int:
-        """Index of the layer containing x (ties go to the left layer)."""
-        return int(self.layer_indices(x))
+        """Index of the layer containing x, by the same rule as
+        :meth:`layer_indices` (bisect_left is searchsorted side="left");
+        a scalar path because per-point callers pay ~8 us for the array one."""
+        edges = self._right_edges
+        idx = bisect_left(edges, x)
+        if idx == len(edges) or not x >= self.x_min or not math.isfinite(x):
+            raise DomainMismatch(f"x={x} lies outside [{self.x_min}, {self.x_max}]")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,14 @@ class Violation:
 
     def __str__(self):
         return f"{self.code}({self.field}): {self.message}"
+
+
+# the contours hold only their Re k > 0 half, which complex data would break
+_REAL_DATA_NOTE = "coefficients and rates must be real (solutions use the k -> -conj(k) symmetry)"
+
+
+def _is_real(value) -> bool:
+    return complex(value).imag == 0.0
 
 
 def collect_violations(config: ProblemConfig) -> list[Violation]:
@@ -254,6 +273,11 @@ def collect_violations(config: ProblemConfig) -> list[Violation]:
                 v.append(Violation("WrongDecaySign", f"initial_data[{i}]", "left layer needs left-sided data"))
             if math.isinf(layer.x_hi) and src.side != "right":
                 v.append(Violation("WrongDecaySign", f"initial_data[{i}]", "right layer needs right-sided data"))
+            if not all(_is_real(term.coef) and _is_real(term.rate) for term in src.terms):
+                v.append(Violation("NonRealData", f"initial_data[{i}]", _REAL_DATA_NOTE))
+    for name, end in (("end_left", config.end_left), ("end_right", config.end_right)):
+        if end is not None and not all(_is_real(val) and _is_real(rate) for val, _, rate in end.data.terms):
+            v.append(Violation("NonRealData", f"{name}.data", _REAL_DATA_NOTE))
     return v
 
 

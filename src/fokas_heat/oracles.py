@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._accel import cached_leggauss as leggauss
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
-
 from .core import Geometry, ProblemConfig, validate
 from .errors import FokasHeatError, RootBracketFailure, TruncationTooTight
 from .solver_finite import (
@@ -185,45 +183,28 @@ def crank_nicolson(
     for i, start in enumerate(grid.layer_starts):
         layer_of[start:] = i
 
-    rows_A, cols_A, vals_A = [], [], []
-    rows_B, cols_B, vals_B = [], [], []
-    constraint = np.zeros(n, dtype=bool)
-
-    def addA(i, j, v):
-        rows_A.append(i)
-        cols_A.append(j)
-        vals_A.append(v)
-
-    def addB(i, j, v):
-        rows_B.append(i)
-        cols_B.append(j)
-        vals_B.append(v)
-
-    interfaces = set(grid.interfaces)
-    for i in range(n):
-        if i == 0 or i == n - 1 or i in interfaces:
-            constraint[i] = True
-            continue
-        lay = layer_of[i]
-        h = grid.spacings[lay]
-        r = 0.5 * grid.sigmas[lay] ** 2 * dt / h**2
-        addA(i, i - 1, -r)
-        addA(i, i, 1 + 2 * r)
-        addA(i, i + 1, -r)
-        addB(i, i - 1, r)
-        addB(i, i, 1 - 2 * r)
-        addB(i, i + 1, r)
+    # A[i, i + d] is band[d + 2, i] for |d| <= 2; B is tridiagonal with
+    # zero rows at the constraint rows (ends and interfaces)
+    interior = np.ones(n, dtype=bool)
+    interior[[0, n - 1, *grid.interfaces]] = False
+    h = np.asarray(grid.spacings)[layer_of]
+    r = np.where(interior, 0.5 * np.asarray(grid.sigmas)[layer_of] ** 2 * dt / h**2, 0.0)
+    band = np.zeros((5, n))
+    band[1], band[2], band[3] = -r, np.where(interior, 1 + 2 * r, 0.0), -r
+    b_diag = np.where(interior, 1 - 2 * r, 0.0)
 
     # interface rows: sigma_l^2 u_x(X-) = sigma_r^2 u_x(X+), one-sided both sides
     for i in grid.interfaces:
         ll, lr = layer_of[i - 1], layer_of[i + 1]
         h1, h2 = grid.spacings[ll], grid.spacings[lr]
         s1, s2 = grid.sigmas[ll] ** 2, grid.sigmas[lr] ** 2
-        addA(i, i - 2, s1 / (2 * h1))
-        addA(i, i - 1, -4 * s1 / (2 * h1))
-        addA(i, i, 3 * s1 / (2 * h1) + 3 * s2 / (2 * h2))
-        addA(i, i + 1, -4 * s2 / (2 * h2))
-        addA(i, i + 2, s2 / (2 * h2))
+        band[:, i] = (
+            s1 / (2 * h1),
+            -4 * s1 / (2 * h1),
+            3 * s1 / (2 * h1) + 3 * s2 / (2 * h2),
+            -4 * s2 / (2 * h2),
+            s2 / (2 * h2),
+        )
 
     # end rows
     geo = config.geometry
@@ -233,27 +214,38 @@ def crank_nicolson(
         gl, gr = (config.far_field or (0.0, 0.0))
         left_dirichlet_value = lambda t: gl
         right_dirichlet_value = lambda t: gr
-        addA(0, 0, 1.0)
-        addA(n - 1, n - 1, 1.0)
+        band[2, [0, n - 1]] = 1.0
     else:
         for side, i0, sgn in (("left", 0, 1), ("right", n - 1, -1)):
             end = config.end_left if side == "left" else config.end_right
-            h = grid.spacings[0 if side == "left" else -1]
+            h_end = grid.spacings[0 if side == "left" else -1]
             if end.alpha_ux == 0:  # Dirichlet
-                addA(i0, i0, 1.0)
+                band[2, i0] = 1.0
                 fn = (lambda t, e=end: e.data(t) / e.alpha_u)
                 if side == "left":
                     left_dirichlet_value = fn
                 else:
                     right_dirichlet_value = fn
             else:  # homogeneous Neumann
-                addA(i0, i0, sgn * -3.0 / (2 * h))
-                addA(i0, i0 + sgn * 1, sgn * 4.0 / (2 * h))
-                addA(i0, i0 + sgn * 2, sgn * -1.0 / (2 * h))
+                band[2, i0] = sgn * -3.0 / (2 * h_end)
+                band[2 + sgn, i0] = sgn * 4.0 / (2 * h_end)
+                band[2 + 2 * sgn, i0] = sgn * -1.0 / (2 * h_end)
 
-    A = csc_matrix((vals_A, (rows_A, cols_A)), shape=(n, n))
-    B = csc_matrix((vals_B, (rows_B, cols_B)), shape=(n, n))
-    lu = splu(A)
+    # the one-sided rows reach two nodes out; subtract a multiple of the
+    # adjacent interior row to clear that entry, leaving a tridiagonal A
+    # (the same multiples are applied to the right-hand side every step)
+    eliminate = []  # (row, interior row, multiple)
+    for i in np.nonzero(band[0])[0]:
+        f = band[0, i] / band[1, i - 1]
+        band[0:3, i] -= f * band[1:4, i - 1]
+        eliminate.append((int(i), int(i) - 1, float(f)))
+    for i in np.nonzero(band[4])[0]:
+        f = band[4, i] / band[3, i + 1]
+        band[2:5, i] -= f * band[1:4, i + 1]
+        eliminate.append((int(i), int(i) + 1, float(f)))
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(band[1, 1:], band[2], band[3, :-1])
+    if info != 0:
+        raise FokasHeatError("Crank-Nicolson matrix is singular")
 
     u = _initial_profile(config, xs)
     samples = sorted(set(sample_times or [])) or []
@@ -266,18 +258,17 @@ def crank_nicolson(
     t = 0.0
     for step in range(n_steps):
         t_next = (step + 1) * dt
-        rhs = B @ u
+        # B u; the constraint rows (interfaces, Neumann ends) get rhs 0
+        rhs = b_diag * u
+        rhs[1:] += r[1:] * u[:-1]
+        rhs[:-1] += r[:-1] * u[1:]
         if left_dirichlet_value is not None:
             rhs[0] = left_dirichlet_value(t_next)
         if right_dirichlet_value is not None:
             rhs[-1] = right_dirichlet_value(t_next)
-        # remaining constraint rows (interfaces, Neumann ends) have rhs 0
-        for i in grid.interfaces:
-            rhs[i] = 0.0
-        if geo == Geometry.THREE_FINITE:
-            rhs[0] = 0.0
-            rhs[-1] = 0.0
-        u = lu.solve(rhs)
+        for i, j, f in eliminate:
+            rhs[i] -= f * rhs[j]
+        u = lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)[0]
         t = t_next
         while next_sample < len(samples) and samples[next_sample] <= t + 0.5 * dt:
             out_times.append(samples[next_sample])

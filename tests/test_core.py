@@ -144,3 +144,25 @@ def test_sampled_data_rejected_on_infinite_extent():
     )
     errs = fh.collect_violations(cfg)
     assert any(v.code == "UnsupportedInitialData" for v in errs)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        fh.ExpPolyTerm(1.0 + 0.5j, 1, 2.0),  # complex coefficient
+        fh.ExpPolyTerm(1.0, 0, 2.0 + 1.0j),  # complex rate (a decaying cosine)
+    ],
+)
+def test_nonreal_initial_data_rejected(term):
+    # half contours rely on f(-conj k) = conj f(k), which complex data breaks
+    left = fh.ExpPolynomial((term,), side="left")
+    with pytest.raises(ConfigValidationError) as err:
+        fh.two_semi_infinite(1.0, 2.0, left_initial=left)
+    assert [v.code for v in err.value.violations] == ["NonRealData"]
+    assert err.value.violations[0].field == "initial_data[0]"
+
+
+def test_nonreal_boundary_data_rejected():
+    with pytest.raises(ConfigValidationError) as err:
+        fh.two_finite(1.0, 2.0, 1.0, 1.0, left_value=fh.BoundaryData(((1.0, 0, -1.0 + 2.0j),)))
+    assert [(v.code, v.field) for v in err.value.violations] == [("NonRealData", "end_left.data")]

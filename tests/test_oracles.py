@@ -6,6 +6,7 @@ import pytest
 import fokas_heat as fh
 from fokas_heat.errors import RootBracketFailure, TruncationTooTight
 from fokas_heat.oracles import (
+    _initial_profile,
     classical_series_two_finite,
     crank_nicolson,
     fd_self_convergence_order,
@@ -74,6 +75,65 @@ def test_cn_truncation_monitor():
     tiny = FDGrid(xs, grid.dt, (0, 100), cfg.sigmas, (0.01, 0.01))
     with pytest.raises(TruncationTooTight):
         crank_nicolson(cfg, tiny, 0.5)
+
+
+def _dense_crank_nicolson(cfg, grid, t_end):
+    """Reference march: the scheme's full A and B (five-point interface and
+    one-sided Neumann rows as written) solved densely at every step."""
+    xs, n = grid.xs, grid.xs.size
+    n_steps = max(1, int(round(t_end / grid.dt)))
+    dt = t_end / n_steps
+    layer_of = np.searchsorted(np.array(grid.layer_starts), np.arange(n), side="right") - 1
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(1, n - 1):
+        if i in grid.interfaces:
+            l, r = layer_of[i - 1], layer_of[i + 1]
+            s1 = grid.sigmas[l] ** 2 / (2 * grid.spacings[l])
+            s2 = grid.sigmas[r] ** 2 / (2 * grid.spacings[r])
+            A[i, i - 2 : i + 3] = (s1, -4 * s1, 3 * s1 + 3 * s2, -4 * s2, s2)
+        else:
+            lam = 0.5 * grid.sigmas[layer_of[i]] ** 2 * dt / grid.spacings[layer_of[i]] ** 2
+            A[i, i - 1 : i + 2] = (-lam, 1 + 2 * lam, -lam)
+            B[i, i - 1 : i + 2] = (lam, 1 - 2 * lam, lam)
+    ends = {}
+    for i0, sgn, end, h in ((0, 1, cfg.end_left, grid.spacings[0]), (n - 1, -1, cfg.end_right, grid.spacings[-1])):
+        if end is None or end.alpha_ux == 0:
+            A[i0, i0] = 1.0
+            ends[i0] = (lambda t, e=end: e.data(t) / e.alpha_u) if end is not None else None
+        else:
+            A[i0, [i0, i0 + sgn, i0 + 2 * sgn]] = sgn * np.array([-3.0, 4.0, -1.0]) / (2 * h)
+    far = dict(zip((0, n - 1), cfg.far_field or (0.0, 0.0)))
+    u = _initial_profile(cfg, xs)
+    for step in range(n_steps):
+        rhs = B @ u
+        for i0, fn in ends.items():
+            rhs[i0] = fn((step + 1) * dt) if fn is not None else far[i0]
+        u = np.linalg.solve(A, rhs)
+    return u
+
+
+@pytest.mark.parametrize("geometry", ["two_semi_infinite", "two_finite", "three_finite"])
+def test_cn_matches_dense_reference(geometry, fig5_config, three_finite_full_config):
+    # the banded solver reduces the five-point rows to a tridiagonal system;
+    # marching the unreduced scheme densely must give the same field
+    cfg = {
+        "two_semi_infinite": fig5_config,
+        "two_finite": fh.two_finite(
+            1.0,
+            2.0,
+            1.0,
+            0.5,
+            left_value=fh.BoundaryData(((1.0, 1, -0.5),)),
+            right_value=0.3,
+            left_initial=fh.SampledInterval(lambda x: np.cos(np.pi * x / 2) ** 2, -1.0, 0.0),
+        ),
+        "three_finite": three_finite_full_config,
+    }[geometry]
+    t_end = 0.05
+    grid = make_grid(cfg, 12, t_end=t_end, dt=t_end / 40)
+    got = crank_nicolson(cfg, grid, t_end).fields[-1]
+    ref = _dense_crank_nicolson(cfg, grid, t_end)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_eigenvalues_equal_sigma():

@@ -215,3 +215,29 @@ def test_rejected_interpolant_falls_back(three_finite_config, monkeypatch):
     direct = sol.values(xs, t)
     assert np.array_equal(u, direct)
     assert tried > points[0]  # the interpolant was built and checked first
+
+
+def _scaled_insulated(lam):
+    """configs/three_insulated.cfg with walls and data scaled by ``lam``."""
+    left = fh.SampledInterval(
+        lambda x: np.sin(np.pi * x / (2 * lam)) ** 2 * (1 + x / lam), -lam, 0.0
+    )
+    return fh.three_finite(1.0, 0.7, 1.4, lam, lam, 2 * lam, left_initial=left)
+
+
+def test_default_arc_is_scale_invariant():
+    # u_lam(lam x, lam^2 t) = u_1(x, t); with the arc at R_gauss/3 every
+    # length in the contours scales with lam, so the nodes do too
+    x1 = np.linspace(-1.0, 2.0, 61)
+    counts, values = {}, {}
+    for lam in (0.25, 1.0, 4.0):
+        sol = solve_three_finite(_scaled_insulated(lam))
+        values[lam] = sol.values(lam * x1, 0.1 * lam**2)
+        counts[lam] = sorted(
+            (key[0], sum({id(k): k.size for k, _, _ in nodal}.values()))
+            for key, nodal in sol._cache.items()
+        )
+    scale = float(np.max(np.abs(values[1.0])))
+    for lam in (0.25, 4.0):
+        assert counts[lam] == counts[1.0]
+        assert float(np.max(np.abs(values[lam] - values[1.0]))) <= 1e-12 * scale
