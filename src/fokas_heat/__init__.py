@@ -39,19 +39,8 @@ from .errors import (
     UnknownKey,
     WrongDecaySign,
 )
-from .solver_finite import (
-    eval_three_finite,
-    eval_two_finite_dirichlet,
-    solve_three_finite,
-    solve_two_finite_dirichlet,
-    steady_state,
-)
-from .solver_semi_infinite import (
-    eval_three_infinite,
-    eval_two_semi_infinite,
-    solve_three_infinite,
-    solve_two_semi_infinite,
-)
+from .solver_finite import solve_three_finite, solve_two_finite_dirichlet, steady_state
+from .solver_semi_infinite import solve_three_infinite, solve_two_semi_infinite
 from .transforms import (
     BoundaryData,
     ExpPolynomial,

@@ -1,42 +1,13 @@
-"""Optional numba acceleration for the hot quadrature kernels.
-
-The package runs identically without numba.  Backend selection:
-
-* ``FOKAS_HEAT_BACKEND=numpy``  -- force the pure-numpy path
-* ``FOKAS_HEAT_BACKEND=numba``  -- require numba (ImportError if missing)
-* unset / ``auto``              -- numba if importable, else numpy
-
-``benchmarks/bench_phase_sum.py`` compares the two paths.
-"""
+"""The hot quadrature kernels: cached Gauss-Legendre rules and ``phase_sum``."""
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-_BACKEND = os.environ.get("FOKAS_HEAT_BACKEND", "auto").strip().lower()
-
-if _BACKEND not in ("auto", "numba", "numpy"):
-    raise ValueError(f"FOKAS_HEAT_BACKEND must be auto|numba|numpy, got {_BACKEND!r}")
-
-USING_NUMBA = False
-if _BACKEND in ("auto", "numba"):
-    # the default TBB layer warns on older TBB builds; workqueue is portable
-    os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise
-        USING_NUMBA = False
-
-
 from functools import lru_cache
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss
+
+USING_NUMBA = False  # always False; perfbench records it and imports phase_sum from here
 
 
 @lru_cache(maxsize=64)
@@ -48,7 +19,8 @@ def cached_leggauss(order: int):
     return x, w
 
 
-def _phase_sum_numpy(x, k, c):
+def phase_sum(x, k, c):
+    """Return ``sum_j c[j] * exp(i k[j] x)`` for every x."""
     # chunked so the (nx, nk) phase matrix never exceeds ~8 MB
     x = np.ascontiguousarray(x, dtype=np.float64)
     k = np.ascontiguousarray(k, dtype=np.complex128)
@@ -59,38 +31,3 @@ def _phase_sum_numpy(x, k, c):
         xs = x[i : i + step]
         out[i : i + step] = np.exp(1j * np.multiply.outer(xs, k)) @ c
     return out
-
-
-if USING_NUMBA:
-
-    # serial + nogil: safe to call from many host threads at once (the CLI
-    # parallelizes over output times), which numba's own parallel threading
-    # layers do not allow
-    @njit(cache=True, nogil=True)
-    def _phase_sum_numba(x, k, c):  # pragma: no cover - exercised via phase_sum
-        n = x.shape[0]
-        m = k.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            acc = 0.0 + 0.0j
-            for j in range(m):
-                acc += c[j] * np.exp(1j * k[j] * x[i])
-            out[i] = acc
-        return out
-
-    def phase_sum(x, k, c):
-        """Return ``sum_j c[j] * exp(i k[j] x)`` for every x."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        k = np.ascontiguousarray(k, dtype=np.complex128)
-        c = np.ascontiguousarray(c, dtype=np.complex128)
-        return _phase_sum_numba(x, k, c)
-
-else:
-
-    def phase_sum(x, k, c):
-        """Return ``sum_j c[j] * exp(i k[j] x)`` for every x."""
-        return _phase_sum_numpy(x, k, c)
-
-
-# kept importable under a stable name so the benchmark can compare both paths
-phase_sum_numpy = _phase_sum_numpy

@@ -125,7 +125,7 @@ class KernelTerm:
     kind: str = "initial"  # "initial" | "boundary"
     transform: Optional[TransformFn] = None
     arg_scale: float = 1.0
-    delta: Optional[object] = None  # needs .eval_scaled(k, half) and .max_abs_q
+    delta: Optional[ExpSum] = None
     bdata: Optional[BoundaryData] = None
 
     def osc_extent(self) -> float:
@@ -152,8 +152,6 @@ class LayerPlan:
     solve_halves: tuple[str, ...] = ()
     needs_arc: bool = True
     feature_scale: Optional[float] = None
-    # full override: layer values come from this callable (x_array, t) -> array
-    delegate: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     # extra oscillation extent for solve_fn integrands the terms don't show
     osc_pad: float = 0.0
     # smallest exponent gap of boundary-term kernels: their 1/k tails only
@@ -361,19 +359,23 @@ class SolutionField:
         nodal = self._build_nodal(idx, t, span, order)
         probes = self._probe_points(idx, span)
         val = self._eval_nodal(nodal, probes)
+        last_diff = math.inf
         for _ in range(num.max_refine):
             nodal2 = self._build_nodal(idx, t, span, order * 2)
             val2 = self._eval_nodal(nodal2, probes)
             scale = max(float(np.max(np.abs(val2))), self._magnitude(nodal2), 1e-300)
-            if float(np.max(np.abs(val2 - val))) <= num.tolerance * scale:
+            diff = float(np.max(np.abs(val2 - val)))
+            if diff <= num.tolerance * scale:
                 nodal = nodal2
                 break
+            last_diff = diff / scale
             order *= 2
             nodal, val = nodal2, val2
         else:
             raise NoConvergence(
-                f"nodal refinement for layer {idx} at t={t} did not stabilize "
-                f"to {num.tolerance:g}"
+                f"nodal refinement for layer {idx} at t={t} did not stabilize",
+                last_diff=last_diff,
+                tolerance=num.tolerance,
             )
         self._cache[key] = nodal
         return nodal
@@ -437,9 +439,6 @@ class SolutionField:
             sel = idxs == idx
             xs = x[sel]
             plan = self.plans[idx]
-            if plan.delegate is not None:
-                out[sel] = plan.delegate(xs, t)
-                continue
             span = self._span_for(idx, xs)
             nodal = self._nodal(idx, t, span)
             vals = self._eval_batch(nodal, xs)
@@ -463,8 +462,6 @@ class SolutionField:
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         plan = self.plans[idx]
-        if plan.delegate is not None:
-            return plan.delegate(x, t)
         span = self._span_for(idx, x)
         nodal = self._nodal(idx, t, span)
         vals = self._eval_batch(nodal, x)

@@ -9,7 +9,8 @@ keys for per-layer data.  Keys:
     gamma_left, gamma_right        far-field temperatures (two_semi_infinite)
     left.initial, middle.initial, right.initial
                         "exp_poly: C [x^M] [e^{Rx}] + ..."  (closed-form transforms)
-                        "const: V" or "expr: <numpy expression of x>" (finite layers)
+                        "const: V" or "expr: <expression of x>" (finite layers; numbers,
+                        x, pi, e, sin/cos/tan/exp/sqrt/abs calls, + - * / ** and signs)
     bc.left, bc.right   "dirichlet: V" (two_finite) | "neumann_zero" (three_finite)
     contour.radius, contour.tolerance
     grid.x              "min:max:count" or comma list
@@ -26,6 +27,7 @@ worker threads used to evaluate distinct output times.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -73,6 +75,7 @@ _KNOWN_KEYS = {
     "grid.t",
 }
 
+# names an ``expr:`` may use besides x: one-argument functions and constants
 _EXPR_NAMES = {
     "sin": np.sin,
     "cos": np.cos,
@@ -83,6 +86,7 @@ _EXPR_NAMES = {
     "pi": np.pi,
     "e": np.e,
 }
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 @dataclass
@@ -130,6 +134,38 @@ def _parse_exp_poly_term(token, line_no):
     return ExpPolyTerm(coef, power, rate)
 
 
+def _check_expr(node, line_no):
+    """Raise ParseError unless ``node`` holds only real numbers, ``x``, the
+    ``_EXPR_NAMES`` constants, one-argument calls of its functions,
+    ``+ - * / **`` and unary +/-."""
+    children = ()
+    if isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float)
+    elif isinstance(node, ast.Name):
+        ok = node.id == "x" or (node.id in _EXPR_NAMES and not callable(_EXPR_NAMES[node.id]))
+    elif isinstance(node, ast.Call):
+        func = node.func
+        ok = (
+            isinstance(func, ast.Name)
+            and callable(_EXPR_NAMES.get(func.id))
+            and len(node.args) == 1
+            and not node.keywords
+        )
+        children = node.args
+    elif isinstance(node, ast.BinOp):
+        ok = isinstance(node.op, _EXPR_BINOPS)
+        children = (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp):
+        ok = isinstance(node.op, (ast.UAdd, ast.USub))
+        children = (node.operand,)
+    else:
+        ok = False
+    if not ok:
+        raise ParseError(f"expression may not contain {ast.unparse(node)!r}", line_no)
+    for child in children:
+        _check_expr(child, line_no)
+
+
 def _parse_initial(value, line_no):
     """Parse one ``*.initial`` value into (kind, payload)."""
     if ":" not in value:
@@ -144,9 +180,11 @@ def _parse_initial(value, line_no):
         return ("const", _parse_float(body, line_no, "const"))
     if kind == "expr":
         try:
-            compiled = compile(body, "<initial>", "eval")
+            tree = ast.parse(body, mode="eval")
         except SyntaxError as exc:
             raise ParseError(f"bad expression: {exc}", line_no)
+        _check_expr(tree.body, line_no)
+        compiled = compile(tree, "<initial>", "eval")
 
         def profile(x, _c=compiled):
             return eval(_c, {"__builtins__": {}}, dict(_EXPR_NAMES, x=np.asarray(x)))
@@ -177,18 +215,11 @@ def _parse_grid(value, line_no, key):
     return grid
 
 
-def _exp_poly_source(terms, side, endpoint):
-    return ExpPolynomial(terms, side=side, endpoint=endpoint)
-
-
 def _finite_source(parsed, lo, hi):
     kind, payload = parsed
     if kind == "exp_poly":
-        prof = ExpPolynomial(
-            tuple(ExpPolyTerm(t.coef, t.power, t.rate) for t in payload),
-            side="left" if all(complex(t.rate).real > 0 for t in payload) else "right",
-            endpoint=hi if all(complex(t.rate).real > 0 for t in payload) else lo,
-        )
+        growing = all(complex(t.rate).real > 0 for t in payload)
+        prof = ExpPolynomial(payload, side="left" if growing else "right", endpoint=hi if growing else lo)
         return SampledInterval(prof, lo, hi)
     if kind == "const":
         v = payload
@@ -281,7 +312,7 @@ def parse_config(text: str):
         kind, payload = parsed
         if kind != "exp_poly":
             raise ParseError("semi-infinite layers need exp_poly initial data", line)
-        return _exp_poly_source(payload, side, endpoint)
+        return ExpPolynomial(payload, side=side, endpoint=endpoint)
 
     if geometry == Geometry.TWO_SEMI_INFINITE:
         config = two_semi_infinite(

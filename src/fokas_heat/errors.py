@@ -51,7 +51,23 @@ class TimeTooSmall(FokasHeatError):
 
 
 class NoConvergence(FokasHeatError):
-    """Successive quadrature refinements failed to agree within tolerance."""
+    """Successive quadrature refinements failed to agree within tolerance.
+
+    Attributes
+    ----------
+    last_diff : float or None
+        Difference between the last two refinements, relative to the
+        solution scale the tolerance applies to.
+    tolerance : float or None
+        The relative tolerance that difference had to meet.
+    """
+
+    def __init__(self, message, last_diff=None, tolerance=None):
+        if last_diff is not None:
+            message = f"{message}: last difference {last_diff:.3g} vs tolerance {tolerance:.3g}"
+        super().__init__(message)
+        self.last_diff = last_diff
+        self.tolerance = tolerance
 
 
 class NaNInIntegrand(FokasHeatError):

@@ -289,31 +289,6 @@ def crank_nicolson(
     return FDSolution(xs, out_times, out_fields, grid.layer_starts)
 
 
-def fd_self_convergence_order(
-    config: ProblemConfig,
-    t_end: float,
-    n_base: int = 80,
-    *,
-    x_probe: np.ndarray | None = None,
-) -> float:
-    """Observed convergence order from three grids (h, h/2, h/4), Richardson style.
-
-    dx and dt are halved together; probing happens on the coarsest grid's
-    interior nodes, which all three grids share, so interpolation plays no
-    part in the measured differences.
-    """
-    sols = []
-    for mult in (1, 2, 4):
-        grid = make_grid(config, n_base * mult, t_end=t_end, dt=t_end / (40 * mult))
-        sols.append(crank_nicolson(config, grid, t_end))
-    if x_probe is None:
-        x_probe = sols[0].xs[2:-2]
-    u1, u2, u3 = (s.interp(t_end, x_probe) for s in sols)
-    e1 = float(np.max(np.abs(u1 - u2)))
-    e2 = float(np.max(np.abs(u2 - u3)))
-    return math.log2(e1 / e2)
-
-
 # ---------------------------------------------------------------------------
 # classical eigenfunction series for the two-layer Dirichlet slab
 

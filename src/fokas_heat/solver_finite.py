@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._field import ExpSum, KernelTerm, LayerPlan, Numerics, SolutionField
-from .core import Geometry, ProblemConfig, SolutionSample, validate
+from .core import Geometry, ProblemConfig, validate
 from .errors import FokasHeatError, SingularNode
 from .transforms import transform_of
 
@@ -76,77 +76,26 @@ TRANSCRIPTION_CORRECTIONS = {
 # denominator functions
 
 
-@dataclass(frozen=True)
-class DeltaFn:
-    """Denominator function: a finite exponential sum in k.
+def delta_two_finite_left(sL, sR, a, b) -> ExpSum:
+    """Denominator of the two-layer slab, 4 exponentials, zero at 0.
 
-    All zeros lie on the real axis for the finite geometries (asserted by
-    the node guard: |Delta| on the deformed contours must stay bounded away
-    from zero), so the deformed contours never meet them.
+    All zeros lie on the real axis (the node guards check that |Delta|
+    stays bounded away from zero on the deformed contours).
     """
-
-    which: str
-    expsum: ExpSum
-
-    def eval_scaled(self, k, half):
-        return self.expsum.eval_scaled(k, half)
-
-    def __call__(self, k):
-        return self.expsum(k)
-
-    @property
-    def max_abs_q(self) -> float:
-        return self.expsum.max_abs_q
-
-    def scaled(self, ratio: float) -> "DeltaFn":
-        return DeltaFn(f"{self.which}*{ratio:g}", self.expsum.scaled(ratio))
-
-
-def delta_eval(d: DeltaFn, k):
-    """Value of the expanded (pole-free) form of a denominator function."""
-    return d(k)
-
-
-def delta_two_finite_left(sL, sR, a, b) -> DeltaFn:
-    """Expanded form of the two-layer denominator, 4 exponentials, zero at 0."""
     bp = b * sL / sR
-    return DeltaFn(
-        "two_finite_left",
-        ExpSum(
-            (
-                (math.pi * (sL + sR), 2 * a + 2 * bp),
-                (math.pi * (sL - sR), 2 * bp),
-                (-math.pi * (sL - sR), 2 * a),
-                (-math.pi * (sL + sR), 0.0),
-            )
-        ),
+    return ExpSum(
+        (
+            (math.pi * (sL + sR), 2 * a + 2 * bp),
+            (math.pi * (sL - sR), 2 * bp),
+            (-math.pi * (sL - sR), 2 * a),
+            (-math.pi * (sL + sR), 0.0),
+        )
     )
 
 
-def delta_two_finite_right(sL, sR, a, b) -> DeltaFn:
+def delta_two_finite_right(sL, sR, a, b) -> ExpSum:
     """Right-variable denominator: the left one at argument k sigma_R/sigma_L."""
     return delta_two_finite_left(sL, sR, a, b).scaled(sR / sL)
-
-
-def delta_two_finite_product_form(sL, sR, a, b):
-    """Factored form i pi (e^{2iak}+1)(e^{2ibk sL/sR}+1)(sL tan(bk sL/sR) + sR tan(ak)).
-
-    Equals the expanded form away from the tangent poles; used only in
-    verification tests.
-    """
-    bp = b * sL / sR
-
-    def f(k):
-        k = np.asarray(k, dtype=complex)
-        return (
-            1j
-            * math.pi
-            * (np.exp(2j * a * k) + 1)
-            * (np.exp(2j * bp * k) + 1)
-            * (sL * np.tan(bp * k) + sR * np.tan(a * k))
-        )
-
-    return f
 
 
 def delta_two_finite_real_form(sL, sR, a, b):
@@ -165,7 +114,7 @@ def delta_two_finite_real_form(sL, sR, a, b):
     return g
 
 
-def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> DeltaFn:
+def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> ExpSum:
     """Three-layer denominators (8 exponentials each, zero at the origin).
 
     Derived from the insulated-slab eigencondition rather than transcribed
@@ -194,30 +143,14 @@ def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> DeltaFn:
         ((sL + sM) * (sM + sR), 2 * (a + B + P)),
         (-(sL + sM) * (sM + sR), 0.0),
     )
-    left = DeltaFn("three_finite_left", ExpSum(tuple((pi * cc, q) for cc, q in terms)))
+    left = ExpSum(tuple((pi * cc, q) for cc, q in terms))
     if which == "left":
         return left
     if which == "right":
-        return DeltaFn("three_finite_right", left.expsum.scaled(sR / sL))
+        return left.scaled(sR / sL)
     if which == "middle":
-        return DeltaFn("three_finite_middle", left.expsum.scaled(sM / sL))
+        return left.scaled(sM / sL)
     raise ValueError(f"unknown which={which!r}")
-
-
-def delta_three_finite_real_form(sL, sM, sR, a, b, c):
-    """Real oscillatory eigencondition E(k) of the insulated three-layer slab."""
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        al, be, rh = a * k, b * sL / sM * k, (c - b) * sL / sR * k
-        return (
-            sM**2 * np.cos(al) * np.sin(be) * np.cos(rh)
-            + sL * sM * np.sin(al) * np.cos(be) * np.cos(rh)
-            + sM * sR * np.cos(al) * np.cos(be) * np.sin(rh)
-            - sL * sR * np.sin(al) * np.sin(be) * np.sin(rh)
-        )
-
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +227,7 @@ class InterfaceUnknowns:
     h0_right: np.ndarray
 
 
-def _two_finite_nodal_solve(cfgdata, k, kR, half, t, overrides=None):
+def _two_finite_nodal_solve(setup, k, kR, half, t, overrides=None):
     """Solve the matched-frequency 4x4 global-relation system at each node.
 
     ``k`` and ``kR = k sigma_L/sigma_R`` are the left/right wavenumbers with
@@ -307,7 +240,7 @@ def _two_finite_nodal_solve(cfgdata, k, kR, half, t, overrides=None):
     transforms} so individual kernels can be extracted by injecting basis
     vectors.
     """
-    sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, dL = cfgdata
+    sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, _lift, dL = setup
     om = (sL * k) ** 2
     damp = np.exp(-om * t)
 
@@ -398,8 +331,8 @@ def _exp_sum_min_gap(*expsums) -> float:
 
 def _two_finite_setup(config):
     """Shared pieces of both two-finite paths: the steady lift from the
-    end-value limits, homogenized initial-data transforms, and residual
-    (decaying) boundary data."""
+    end-value limits, homogenized initial-data transforms, residual
+    (decaying) boundary data and the ends' value coefficients."""
     from .transforms import SampledInterval
 
     sL, sR = config.sigmas
@@ -419,24 +352,8 @@ def _two_finite_setup(config):
     TL = transform_of(shifted(config.initial_data[0], -a, 0.0), (-a, 0.0))
     TR = transform_of(shifted(config.initial_data[1], 0.0, b), (0.0, b))
     dL = delta_two_finite_left(sL, sR, a, b)
-    return sL, sR, a, b, TL, TR, bdL, bdR, lift, dL
-
-
-def _two_finite_cfgdata(config):
-    sL, sR, a, b, TL, TR, bdL, bdR, lift, dL = _two_finite_setup(config)
-    return (
-        sL,
-        sR,
-        a,
-        b,
-        TL,
-        TR,
-        bdL,
-        bdR,
-        config.end_left.alpha_u,
-        config.end_right.alpha_u,
-        dL,
-    )
+    a1, a3 = config.end_left.alpha_u, config.end_right.alpha_u
+    return sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, lift, dL
 
 
 def _two_finite_transcribed_plans(config) -> list[LayerPlan]:
@@ -449,10 +366,9 @@ def _two_finite_transcribed_plans(config) -> list[LayerPlan]:
     TRANSCRIPTION_CORRECTIONS applies.  b' = b sL/sR and a' = a sR/sL are
     the opposite-layer widths as seen from each side's wavenumber.
     """
-    sL, sR, a, b, TL, TR, bdL, bdR, lift, dL = _two_finite_setup(config)
+    sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, lift, dL = _two_finite_setup(config)
     bp = b * sL / sR
     ap = a * sR / sL
-    a1, a3 = config.end_left.alpha_u, config.end_right.alpha_u
     dR = delta_two_finite_right(sL, sR, a, b)
 
     # left layer, wavenumber k, ohm = (sL k)^2
@@ -580,8 +496,8 @@ def _two_finite_transcribed_plans(config) -> list[LayerPlan]:
         ),
     ]
     has_bdata = not (bdL.is_zero and bdR.is_zero)
-    gap_L = _exp_sum_min_gap(dL.expsum) if has_bdata else None
-    gap_R = _exp_sum_min_gap(dR.expsum) if has_bdata else None
+    gap_L = _exp_sum_min_gap(dL) if has_bdata else None
+    gap_R = _exp_sum_min_gap(dR) if has_bdata else None
 
     def lift_fn(x, t):
         return np.asarray(lift(x), dtype=float)
@@ -593,13 +509,12 @@ def _two_finite_transcribed_plans(config) -> list[LayerPlan]:
 
 
 def _two_finite_linear_plans(config) -> list[LayerPlan]:
-    cfgdata = _two_finite_cfgdata(config)
-    sL, sR, a, b, TL, TR = cfgdata[:6]
-    lift = steady_state(config)
+    setup = _two_finite_setup(config)
+    sL, sR, a, b, TL, TR, bdL, bdR, _a1, _a3, lift, dL = setup
 
     def solve_left(k, half, t):
         kR = k * sL / sR
-        unk, Ea, Eb = _two_finite_nodal_solve(cfgdata, k, kR, half, t)
+        unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kR, half, t)
         if half == "lower":
             return -(sL**2) * (unk.g1 + 1j * k * unk.g0) / TWO_PI
         # e^{ik(a+x)} sL^2 (h1L + ik h0L); Ea = e^{ika} is the bounded factor here
@@ -607,16 +522,15 @@ def _two_finite_linear_plans(config) -> list[LayerPlan]:
 
     def solve_right(kappa, half, t):
         k = kappa * sR / sL
-        unk, Ea, Eb = _two_finite_nodal_solve(cfgdata, k, kappa, half, t)
+        unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kappa, half, t)
         if half == "lower":
             # e^{i kappa (x-b)} sR^2 (h1R + i kappa h0R); Eb = e^{-i kappa b}
             return -(sR**2) * Eb * (unk.h1_right + 1j * kappa * unk.h0_right) / TWO_PI
         return -(1j * kappa * sR**2 * unk.g0 + sL**2 * unk.g1) / TWO_PI
 
-    bdL, bdR, dL = cfgdata[6], cfgdata[7], cfgdata[-1]
     has_bdata = not (bdL.is_zero and bdR.is_zero)
-    gap_L = _exp_sum_min_gap(dL.expsum) if has_bdata else None
-    gap_R = _exp_sum_min_gap(dL.expsum.scaled(sR / sL)) if has_bdata else None
+    gap_L = _exp_sum_min_gap(dL) if has_bdata else None
+    gap_R = _exp_sum_min_gap(dL.scaled(sR / sL)) if has_bdata else None
 
     def lift_fn(x, t):
         return np.asarray(lift(x), dtype=float)
@@ -660,12 +574,6 @@ def solve_two_finite_dirichlet(
     else:
         raise ValueError(f"unknown path {path!r}")
     return SolutionField(config, plans, numerics, label=f"two_finite/{path}")
-
-
-def eval_two_finite_dirichlet(sol: SolutionField, x: float, t: float) -> SolutionSample:
-    if sol.config.geometry != Geometry.TWO_FINITE:
-        raise FokasHeatError("evaluator was not built for two_finite")
-    return sol.sample(x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -814,31 +722,13 @@ def _three_finite_plans(config) -> list[LayerPlan]:
     return plans
 
 
-def solve_three_finite(
-    config: ProblemConfig,
-    variant: str = "full",
-    numerics: Numerics | None = None,
-) -> SolutionField:
+def solve_three_finite(config: ProblemConfig, numerics: Numerics | None = None) -> SolutionField:
     """Build the evaluator for the three-finite-layer insulated problem.
 
-    Both variants run the same derived global-relation evaluation (see
-    TRANSCRIPTION_CORRECTIONS["three_finite.formulas"]); ``restricted``
-    additionally requires the middle and right initial data to be zero, as
-    the shorter published formulas do.
+    Evaluates the derived global-relation solution (see
+    TRANSCRIPTION_CORRECTIONS["three_finite.formulas"]).
     """
     validate(config)
     if config.geometry != Geometry.THREE_FINITE:
         raise FokasHeatError("solve_three_finite requires three_finite geometry")
-    if variant not in ("restricted", "full"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "restricted":
-        for i in (1, 2):
-            if config.initial_data[i] is not None:
-                raise FokasHeatError("restricted variant requires zero middle and right data")
-    return SolutionField(config, _three_finite_plans(config), numerics, label=f"three_finite/{variant}")
-
-
-def eval_three_finite(sol: SolutionField, x: float, t: float) -> SolutionSample:
-    if sol.config.geometry != Geometry.THREE_FINITE:
-        raise FokasHeatError("evaluator was not built for three_finite")
-    return sol.sample(x, t)
+    return SolutionField(config, _three_finite_plans(config), numerics, label="three_finite")

@@ -32,9 +32,8 @@ import math
 import numpy as np
 
 from ._field import ExpSum, KernelTerm, LayerPlan, Numerics, SolutionField
-from .core import Geometry, ProblemConfig, SolutionSample, validate
+from .core import Geometry, ProblemConfig, validate
 from .errors import FokasHeatError
-from .solver_finite import DeltaFn
 from .transforms import (
     ExpPolynomial,
     erf_real,
@@ -162,40 +161,27 @@ def solve_two_semi_infinite(
     return SolutionField(config, [left, right], numerics, label="two_semi_infinite/linear")
 
 
-def eval_two_semi_infinite(sol: SolutionField, x: float, t: float) -> SolutionSample:
-    """Sample the two-semi-infinite solution at one point."""
-    if sol.config.geometry != Geometry.TWO_SEMI_INFINITE:
-        raise FokasHeatError("evaluator was not built for two_semi_infinite")
-    return sol.sample(x, t)
-
-
 # ---------------------------------------------------------------------------
 # three layers, infinite outer extents
 
 
-def delta_three_infinite_left(sL, sM, sR, a) -> DeltaFn:
+def delta_three_infinite_left(sL, sM, sR, a) -> ExpSum:
     """pi [ (sL-sM)(sM-sR) + e^{4 i a k sL/sM} (sL+sM)(sM+sR) ]; zeros off-axis."""
-    return DeltaFn(
-        "left",
-        ExpSum(
-            (
-                (math.pi * (sL - sM) * (sM - sR), 0.0),
-                (math.pi * (sL + sM) * (sM + sR), 4.0 * a * sL / sM),
-            )
-        ),
+    return ExpSum(
+        (
+            (math.pi * (sL - sM) * (sM - sR), 0.0),
+            (math.pi * (sL + sM) * (sM + sR), 4.0 * a * sL / sM),
+        )
     )
 
 
-def delta_three_infinite_right(sL, sM, sR, a) -> DeltaFn:
+def delta_three_infinite_right(sL, sM, sR, a) -> ExpSum:
     """pi [ (sL+sM)(sM+sR) + e^{4 i a k sR/sM} (sL-sM)(sM-sR) ]."""
-    return DeltaFn(
-        "right",
-        ExpSum(
-            (
-                (math.pi * (sL + sM) * (sM + sR), 0.0),
-                (math.pi * (sL - sM) * (sM - sR), 4.0 * a * sR / sM),
-            )
-        ),
+    return ExpSum(
+        (
+            (math.pi * (sL + sM) * (sM + sR), 0.0),
+            (math.pi * (sL - sM) * (sM - sR), 4.0 * a * sR / sM),
+        )
     )
 
 
@@ -361,13 +347,6 @@ def solve_three_infinite(
     middle = LayerPlan(sM, terms=mid_terms, needs_arc=False, feature_scale=feat)
 
     return SolutionField(config, [left, middle, right], numerics, label=f"three_infinite/{variant}")
-
-
-def eval_three_infinite(sol: SolutionField, x: float, t: float) -> SolutionSample:
-    """Sample the three-layer infinite solution at one point."""
-    if sol.config.geometry != Geometry.THREE_INFINITE:
-        raise FokasHeatError("evaluator was not built for three_infinite")
-    return sol.sample(x, t)
 
 
 def _is_zero_source(src) -> bool:

@@ -361,17 +361,6 @@ def em1(z):
     return np.where(small, series, direct)
 
 
-def one_minus_exp_div(z):
-    """(1 - exp(-z))/z, the decaying twin of :func:`em1`."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    with np.errstate(invalid="ignore", over="ignore"):
-        direct = -np.expm1(-zs) / zs
-    series = 1.0 - z / 2.0 + z**2 / 6.0 - z**3 / 24.0
-    return np.where(small, series, direct)
-
-
 def time_transform_constant(value, omega, t):
     """``value * (e^{omega t} - 1)/omega`` = int_0^t e^{omega s} value ds."""
     if t <= 0:

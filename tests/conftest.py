@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import fokas_heat as fh
+from fokas_heat.oracles import crank_nicolson, make_grid
 
 
 @pytest.fixture
@@ -37,6 +40,25 @@ def slab_config():
 def steady_slab_config():
     """The boundary-driven slab with the rational steady profile."""
     return fh.two_finite(1.0, 2.0, 1.0, 1.0, left_value=0.0, right_value=1.0)
+
+
+def fd_self_convergence_order(config, t_end, n_base=80):
+    """Observed Crank-Nicolson convergence order from three grids (h, h/2,
+    h/4), Richardson style.
+
+    dx and dt are halved together; probing happens on the coarsest grid's
+    interior nodes, which all three grids share, so interpolation plays no
+    part in the measured differences.
+    """
+    sols = []
+    for mult in (1, 2, 4):
+        grid = make_grid(config, n_base * mult, t_end=t_end, dt=t_end / (40 * mult))
+        sols.append(crank_nicolson(config, grid, t_end))
+    x_probe = sols[0].xs[2:-2]
+    u1, u2, u3 = (s.interp(t_end, x_probe) for s in sols)
+    e1 = float(np.max(np.abs(u1 - u2)))
+    e2 = float(np.max(np.abs(u2 - u3)))
+    return math.log2(e1 / e2)
 
 
 def c1_left_halfline(a=0.6, rate=2.0):

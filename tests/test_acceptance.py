@@ -14,7 +14,6 @@ from fokas_heat._field import Numerics
 from fokas_heat.oracles import (
     classical_series_two_finite,
     crank_nicolson,
-    fd_self_convergence_order,
     heat_kernel_whole_line,
     make_grid,
     single_medium_neumann_series,
@@ -28,6 +27,7 @@ from fokas_heat.solver_semi_infinite import (
     solve_three_infinite,
     solve_two_semi_infinite,
 )
+from tests.conftest import fd_self_convergence_order
 
 
 def report(criterion: str, name: str, error: float, tol: float):
@@ -136,7 +136,7 @@ def test_criterion_4_two_finite(slab_config, steady_slab_config):
 
 def test_criterion_5_three_finite(three_finite_full_config):
     cfg = three_finite_full_config
-    sol = solve_three_finite(cfg, "full")
+    sol = solve_three_finite(cfg)
     heats = []
     for t in (0.01, 0.05, 0.2, 0.5, 1.0):
         heats.append(
@@ -158,7 +158,7 @@ def test_criterion_5_three_finite(three_finite_full_config):
         middle_initial=fh.SampledInterval(prof, 0.0, 1.0),
         right_initial=fh.SampledInterval(prof, 1.0, 2.0),
     )
-    sol_eq = solve_three_finite(cfg_eq, "full")
+    sol_eq = solve_three_finite(cfg_eq)
     ser = single_medium_neumann_series(prof, sig, -1.0, 2.0, n_modes=60)
     xs = np.array([-0.9, -0.4, 0.0, 0.3, 0.8, 1.0, 1.3, 1.9])
     err = max(np.max(np.abs(sol_eq.values(xs, t) - ser(xs, t))) for t in (0.05, 0.3))
@@ -190,7 +190,7 @@ def test_criterion_7_contour_robustness(
          np.array([-0.5, 0.0, 0.5])),
         ("three_infinite", lambda num: solve_three_infinite(three_infinite_config, "restricted", num), 0.15,
          np.array([-0.7, 0.0, 0.7])),
-        ("three_finite", lambda num: solve_three_finite(three_finite_config, "restricted", num), 0.2,
+        ("three_finite", lambda num: solve_three_finite(three_finite_config, num), 0.2,
          np.array([-0.5, 0.5, 1.5])),
     ]
     worst_r = 0.0

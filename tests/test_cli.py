@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import fokas_heat as fh
 from fokas_heat.cli import _csv_text, main, parse_config
 from fokas_heat.core import Geometry
-from fokas_heat.errors import ConfigValidationError, ParseError, UnknownKey
+from fokas_heat.errors import ConfigValidationError, NoConvergence, ParseError, UnknownKey
 
 ROOT = Path(__file__).resolve().parents[1]
 FIG5 = ROOT / "configs" / "fig5.cfg"
@@ -60,6 +61,24 @@ def test_parse_expr_initial():
     np.testing.assert_allclose(
         config.initial_data[0](xs), np.sin(np.pi * xs / 2) ** 2 * (1 + xs), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["x.__class__", "__import__('os')", "(lambda: 1)()", "x[0]", "y + 1"],
+    ids=["attribute", "import", "lambda", "subscript", "unknown-name"],
+)
+def test_expr_outside_whitelist_is_config_error(tmp_path, capsys, expr):
+    cfg = tmp_path / "bad_expr.cfg"
+    cfg.write_text(
+        "geometry = three_finite\nsigma_left = 1\nsigma_middle = 0.7\nsigma_right = 1.4\n"
+        f"a = 1\nb = 1\nc = 2\nleft.initial = expr: {expr}\n"
+    )
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ParseError"
+    assert record["detail"].startswith("line 8: ")
 
 
 def test_parse_grid_forms():
@@ -122,6 +141,23 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "TimeTooSmall"
+
+
+def test_no_convergence_reports_last_difference(tmp_path, capsys):
+    cfg = tmp_path / "fig5_tight.cfg"
+    cfg.write_text(FIG5.read_text() + "contour.tolerance = 1e-18\n")
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NoConvergence"
+    diff, tol = re.search(r"last difference (\S+) vs tolerance (\S+)$", record["detail"]).groups()
+    assert float(tol) == 1e-18
+    assert float(diff) > 1e-18
+    config, manifest = parse_config(cfg.read_text())
+    with pytest.raises(NoConvergence) as err:
+        fh.solve(config, manifest.numerics()).values(manifest.x_grid, manifest.t_values[0])
+    assert err.value.tolerance == 1e-18
+    assert err.value.last_diff > err.value.tolerance
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ def _fields(fig5, slab, steady_slab, three_inf, three_fin_full):
         solve_two_finite_dirichlet(steady_slab, path="linear_solve"),
         solve_three_infinite(three_inf, "restricted"),
         solve_three_infinite(three_inf, "full"),
-        solve_three_finite(three_fin_full, "full"),
+        solve_three_finite(three_fin_full),
     ]
 
 

@@ -9,7 +9,6 @@ from fokas_heat.oracles import (
     _initial_profile,
     classical_series_two_finite,
     crank_nicolson,
-    fd_self_convergence_order,
     heat_kernel_whole_line,
     make_grid,
     run_verification,
@@ -17,6 +16,7 @@ from fokas_heat.oracles import (
     two_finite_eigenvalues,
 )
 from fokas_heat.solver_finite import delta_two_finite_left, steady_state
+from tests.conftest import fd_self_convergence_order
 
 
 def test_cn_preserves_equilibrium():

@@ -92,7 +92,7 @@ def test_three_finite_vs_fd_randomized():
         )
         mid = fh.SampledInterval(lambda x, bb=b: 0.4 * np.sin(np.pi * x / bb) ** 2, 0.0, b)
         cfg = fh.three_finite(sL, sM, sR, a, b, c, left_initial=left, middle_initial=mid)
-        sol = solve_three_finite(cfg, "full")
+        sol = solve_three_finite(cfg)
         t = 0.15
         xs = np.linspace(-0.9 * a, b + 0.9 * (c - b), 9)
         grid = make_grid(cfg, 900, t_end=t, dt=t / 900)
@@ -109,8 +109,8 @@ def test_three_finite_reflection_randomized():
         c = b + rng.uniform(0.7, 1.3)
         left = fh.SampledInterval(lambda x, aa=a: np.cos(np.pi * x / (2 * aa)) ** 4, -a, 0.0)
         cfg = fh.three_finite(sL, sM, sR, a, b, c, left_initial=left)
-        sol = solve_three_finite(cfg, "full")
-        msol = solve_three_finite(fh.mirrored(cfg), "full")
+        sol = solve_three_finite(cfg)
+        msol = solve_three_finite(fh.mirrored(cfg))
         xs = np.linspace(-0.9 * a, b + 0.9 * (c - b), 7)
         t = 0.2
         np.testing.assert_allclose(sol.values(xs, t), msol.values(b - xs, t), atol=1e-8)

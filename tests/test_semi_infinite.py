@@ -7,10 +7,7 @@ import fokas_heat as fh
 from fokas_heat import _field
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import heat_kernel_whole_line
-from fokas_heat.solver_semi_infinite import (
-    eval_two_semi_infinite,
-    solve_two_semi_infinite,
-)
+from fokas_heat.solver_semi_infinite import solve_two_semi_infinite
 
 
 def test_zero_data_zero_everywhere():
@@ -29,9 +26,9 @@ def test_weighted_average_limit():
 
 def test_sample_carries_layer_tag(generic_two_semi):
     sol = solve_two_semi_infinite(generic_two_semi)
-    s = eval_two_semi_infinite(sol, -0.5, 0.2)
+    s = sol.sample(-0.5, 0.2)
     assert s.layer_index == 0 and s.x == -0.5 and s.t == 0.2
-    assert eval_two_semi_infinite(sol, 0.5, 0.2).layer_index == 1
+    assert sol.sample(0.5, 0.2).layer_index == 1
 
 
 def test_interface_continuity_and_flux(generic_two_semi):

@@ -8,12 +8,23 @@ import fokas_heat as fh
 from fokas_heat import _field
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import crank_nicolson, make_grid, single_medium_neumann_series
-from fokas_heat.solver_finite import (
-    delta_three_finite,
-    delta_three_finite_real_form,
-    eval_three_finite,
-    solve_three_finite,
-)
+from fokas_heat.solver_finite import delta_three_finite, solve_three_finite
+
+
+def delta_three_finite_real_form(sL, sM, sR, a, b, c):
+    """Real oscillatory eigencondition E(k) of the insulated three-layer slab."""
+
+    def g(k):
+        k = np.asarray(k, dtype=float)
+        al, be, rh = a * k, b * sL / sM * k, (c - b) * sL / sR * k
+        return (
+            sM**2 * np.cos(al) * np.sin(be) * np.cos(rh)
+            + sL * sM * np.sin(al) * np.cos(be) * np.cos(rh)
+            + sM * sR * np.cos(al) * np.cos(be) * np.sin(rh)
+            - sL * sR * np.sin(al) * np.sin(be) * np.sin(rh)
+        )
+
+    return g
 
 
 def total_heat(sol, t):
@@ -63,14 +74,9 @@ def test_delta_bounded_on_contours():
 
 def test_zero_data_zero_field():
     cfg = fh.three_finite(1.0, 0.7, 1.4, 1.0, 1.0, 2.0)
-    sol = solve_three_finite(cfg, "full")
+    sol = solve_three_finite(cfg)
     for x in (-0.5, 0.5, 1.5):
         assert sol.value(x, 0.2) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_restricted_requires_restricted_data(three_finite_full_config):
-    with pytest.raises(fh.FokasHeatError):
-        solve_three_finite(three_finite_full_config, "restricted")
 
 
 def test_equal_sigma_matches_cosine_series():
@@ -88,7 +94,7 @@ def test_equal_sigma_matches_cosine_series():
         middle_initial=fh.SampledInterval(prof, 0.0, b),
         right_initial=fh.SampledInterval(prof, b, c),
     )
-    sol = solve_three_finite(cfg, "full")
+    sol = solve_three_finite(cfg)
     ser = single_medium_neumann_series(prof, sig, -a, c, n_modes=60)
     xs = np.array([-0.9, -0.4, 0.0, 0.3, 0.8, 1.0, 1.3, 1.9])
     for t in (0.05, 0.2, 1.0):
@@ -96,7 +102,7 @@ def test_equal_sigma_matches_cosine_series():
 
 
 def test_heat_conserved(three_finite_full_config):
-    sol = solve_three_finite(three_finite_full_config, "full")
+    sol = solve_three_finite(three_finite_full_config)
     heats = [total_heat(sol, t) for t in (0.01, 0.05, 0.2, 1.0)]
     scale = max(abs(h) for h in heats)
     assert (max(heats) - min(heats)) / scale < 1e-6
@@ -104,7 +110,7 @@ def test_heat_conserved(three_finite_full_config):
 
 def test_interface_conditions(three_finite_config):
     cfg = three_finite_config
-    sol = solve_three_finite(cfg, "restricted")
+    sol = solve_three_finite(cfg)
     t = 0.2
     for xi, (l1, l2) in ((0.0, (0, 1)), (1.0, (1, 2))):
         ul = sol.values_in_layer(l1, np.array([xi]), t)[0]
@@ -116,7 +122,7 @@ def test_interface_conditions(three_finite_config):
 
 
 def test_insulated_ends(three_finite_config):
-    sol = solve_three_finite(three_finite_config, "restricted")
+    sol = solve_three_finite(three_finite_config)
     for t in (0.05, 0.5):
         assert abs(sol.derivative(-1.0, t, layer=0)) < 1e-4
         assert abs(sol.derivative(2.0, t, layer=2)) < 1e-4
@@ -124,7 +130,7 @@ def test_insulated_ends(three_finite_config):
 
 def test_crank_nicolson_agreement(three_finite_full_config):
     cfg = three_finite_full_config
-    sol = solve_three_finite(cfg, "full")
+    sol = solve_three_finite(cfg)
     t = 0.2
     xs = np.array([-0.9, -0.4, 0.0, 0.3, 0.8, 1.0, 1.3, 1.9])
     grid = make_grid(cfg, 1400, t_end=t, dt=t / 1500)
@@ -135,8 +141,8 @@ def test_crank_nicolson_agreement(three_finite_full_config):
 def test_reflection_symmetry(three_finite_full_config):
     cfg = three_finite_full_config
     b = cfg.layers[1].x_hi
-    sol = solve_three_finite(cfg, "full")
-    msol = solve_three_finite(fh.mirrored(cfg), "full")
+    sol = solve_three_finite(cfg)
+    msol = solve_three_finite(fh.mirrored(cfg))
     xs = np.array([-0.9, -0.3, 0.2, 0.9, 1.2, 1.9])
     t = 0.2
     np.testing.assert_allclose(sol.values(xs, t), msol.values(b - xs, t), atol=1e-9)
@@ -145,7 +151,7 @@ def test_reflection_symmetry(three_finite_full_config):
 def test_long_time_limit_is_mean(three_finite_config):
     # insulated slab relaxes to the conserved mean of the initial data
     cfg = three_finite_config
-    sol = solve_three_finite(cfg, "restricted")
+    sol = solve_three_finite(cfg)
     xs = np.linspace(-1, 0, 3001)
     mean = np.trapezoid(np.real(cfg.initial_data[0](xs)), xs) / 3.0
     for x in (-0.5, 0.5, 1.5):
@@ -156,7 +162,7 @@ def test_arc_radius_independence(three_finite_config):
     xs = np.array([-0.5, 0.5, 1.5])
     t = 0.2
     vals = [
-        solve_three_finite(three_finite_config, "restricted", Numerics(arc_radius=r)).values(xs, t)
+        solve_three_finite(three_finite_config, Numerics(arc_radius=r)).values(xs, t)
         for r in (0.5, 1.0, 2.0)
     ]
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
@@ -164,8 +170,8 @@ def test_arc_radius_independence(three_finite_config):
 
 
 def test_eval_wrapper(three_finite_config):
-    sol = solve_three_finite(three_finite_config, "restricted")
-    assert eval_three_finite(sol, 1.5, 0.2).layer_index == 2
+    sol = solve_three_finite(three_finite_config)
+    assert sol.sample(1.5, 0.2).layer_index == 2
 
 
 def _count_phase_sum_points(monkeypatch):

@@ -4,11 +4,7 @@ import pytest
 import fokas_heat as fh
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import crank_nicolson, make_grid
-from fokas_heat.solver_semi_infinite import (
-    eval_three_infinite,
-    solve_three_infinite,
-    solve_two_semi_infinite,
-)
+from fokas_heat.solver_semi_infinite import solve_three_infinite, solve_two_semi_infinite
 from tests.conftest import c1_left_halfline
 
 
@@ -127,11 +123,3 @@ def test_arc_radius_independence(three_infinite_config):
     ]
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
     assert np.max(np.abs(vals[2] - vals[1])) < 1e-8
-
-
-def test_eval_wrapper_checks_geometry(generic_two_semi, three_infinite_config):
-    sol = solve_three_infinite(three_infinite_config)
-    assert eval_three_infinite(sol, -1.0, 0.1).layer_index == 0
-    other = solve_two_semi_infinite(generic_two_semi)
-    with pytest.raises(fh.FokasHeatError):
-        eval_three_infinite(other, -1.0, 0.1)

@@ -14,7 +14,6 @@ from fokas_heat.transforms import (
     erf_real,
     halfline_transform,
     interval_transform,
-    one_minus_exp_div,
     time_transform_constant,
     transform_of,
 )
@@ -145,9 +144,6 @@ def test_em1_series_branch_continuity():
         a = complex(em1(np.array([z]))[0])
         b = (np.exp(z) - 1) / z
         assert a == pytest.approx(b, rel=1e-12)
-        c = complex(one_minus_exp_div(np.array([z]))[0])
-        d = (1 - np.exp(-z)) / z
-        assert c == pytest.approx(d, rel=1e-12)
 
 
 def test_boundary_data_scaled_transform():

@@ -8,18 +8,35 @@ from fokas_heat._field import Numerics
 from fokas_heat.oracles import classical_series_two_finite
 from fokas_heat.solver_finite import (
     InterfaceUnknowns,
-    _two_finite_cfgdata,
     _two_finite_nodal_solve,
-    delta_eval,
+    _two_finite_setup,
     delta_two_finite_left,
-    delta_two_finite_product_form,
     delta_two_finite_right,
-    eval_two_finite_dirichlet,
     solve_two_finite_dirichlet,
     steady_state,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def delta_two_finite_product_form(sL, sR, a, b):
+    """Factored form i pi (e^{2iak}+1)(e^{2ibk sL/sR}+1)(sL tan(bk sL/sR) + sR tan(ak)).
+
+    Equals the expanded form away from the tangent poles.
+    """
+    bp = b * sL / sR
+
+    def f(k):
+        k = np.asarray(k, dtype=complex)
+        return (
+            1j
+            * math.pi
+            * (np.exp(2j * a * k) + 1)
+            * (np.exp(2j * bp * k) + 1)
+            * (sL * np.tan(bp * k) + sR * np.tan(a * k))
+        )
+
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +45,7 @@ TWO_PI = 2 * math.pi
 
 def test_delta_zero_at_origin():
     d = delta_two_finite_left(1.0, 2.0, 1.0, 1.3)
-    assert delta_eval(d, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert d(0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_delta_sum_vs_product_form():
@@ -46,7 +63,7 @@ def test_delta_equal_sigma_zeros():
     # so the zeros sit at k = n pi / 2
     d = delta_two_finite_left(1.3, 1.3, 1.0, 1.0)
     for n in range(1, 6):
-        assert abs(delta_eval(d, n * np.pi / 2)) < 1e-12
+        assert abs(d(n * np.pi / 2)) < 1e-12
 
 
 def test_delta_right_is_left_rescaled():
@@ -160,7 +177,7 @@ def test_arc_radius_independence(slab_config):
 
 def test_eval_wrapper(slab_config):
     sol = solve_two_finite_dirichlet(slab_config)
-    s = eval_two_finite_dirichlet(sol, 0.4, 0.2)
+    s = sol.sample(0.4, 0.2)
     assert s.layer_index == 1
 
 
@@ -229,13 +246,13 @@ def test_kernel_extraction_matches_linear_solve(half, chan):
     rng = np.random.default_rng(11)
     sL, sR, a, b = 0.9, 1.9, 1.1, 1.4
     cfg = fh.two_finite(sL, sR, a, b)
-    cfgdata = _two_finite_cfgdata(cfg)
+    setup = _two_finite_setup(cfg)
     sgn = -1 if half == "lower" else 1
     k = rng.uniform(0.4, 6, 7) + 1j * sgn * rng.uniform(0.2, 1.6, 7)
     kR = k * sL / sR
     chans = ("ULp", "ULm", "URp", "URm", "H0L", "H0R")
     ov = {c: (np.ones_like(k) if c == chan else np.zeros_like(k)) for c in chans}
-    unk, Ea, Eb = _two_finite_nodal_solve(cfgdata, k, kR, half, 0.4, overrides=ov)
+    unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kR, half, 0.4, overrides=ov)
     assert isinstance(unk, InterfaceUnknowns)
     if half == "lower":
         lin_L = -(sL**2) * (unk.g1 + 1j * k * unk.g0) / TWO_PI
