@@ -24,6 +24,7 @@ on their contour (which the construction guarantees) and nothing overflows.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,6 +54,10 @@ _TERM_CUTOFF = 1e-16
 _DEGREE_MARGIN = 16
 # checked x must agree with direct evaluation to this times the tolerance
 _INTERP_CHECK = 1e-2
+# nodal cache entries one field keeps, (layer, t, span) keys; the oldest
+# insertion is evicted first.  8x the most one benchmark op fills (32: 16
+# output times in two layers), so no op evicts.
+_CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -277,8 +282,10 @@ class SolutionField:
     configured tolerance.  A large batch of x in one layer is interpolated
     from Chebyshev points and checked against direct sums at a subset of
     its x (see ``_eval_batch``); the interpolant is not cached.  Evaluation
-    is pure; the only mutation is the first-use fill of the nodal cache, so
-    concurrent readers at distinct times may at worst duplicate a build.
+    is pure; the only mutation is the nodal cache, which holds at most
+    ``_CACHE_ENTRIES`` keys and evicts the oldest insertion first.  Inserts
+    and evictions take a lock; concurrent readers at distinct times may at
+    worst duplicate a build, and a rebuilt entry is bit-identical.
     """
 
     def __init__(self, config: ProblemConfig, plans: list[LayerPlan], numerics: Numerics | None = None, label: str = ""):
@@ -287,6 +294,7 @@ class SolutionField:
         self.numerics = numerics or Numerics()
         self.label = label
         self._cache: dict = {}
+        self._cache_lock = threading.Lock()
 
     # -- contour/nodal assembly ------------------------------------------
 
@@ -377,7 +385,10 @@ class SolutionField:
                 last_diff=last_diff,
                 tolerance=num.tolerance,
             )
-        self._cache[key] = nodal
+        with self._cache_lock:
+            self._cache[key] = nodal
+            while len(self._cache) > _CACHE_ENTRIES:
+                del self._cache[next(iter(self._cache))]
         return nodal
 
     @staticmethod

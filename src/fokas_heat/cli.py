@@ -50,7 +50,6 @@ from .errors import (
     TimeTooSmall,
     UnknownKey,
 )
-from .oracles import run_verification
 from .solver_finite import steady_state
 from .transforms import ExpPolynomial, ExpPolyTerm, SampledInterval
 
@@ -457,6 +456,9 @@ def _cmd_solve(config, manifest):
 
 
 def _cmd_verify(config, manifest):
+    # imported here: the oracles need scipy, which solve and steady do not
+    from .oracles import run_verification
+
     checks = run_verification(config, t_check=min(manifest.t_values))
     lines = [check.line() for check in checks]
     text = "\n".join(lines) + "\n"

@@ -183,6 +183,24 @@ def test_erf_odd_and_monotone(z):
     assert erf_real(z + 1e-3) >= erf_real(z)
 
 
+def test_erf_matches_scipy():
+    from scipy.special import erf
+
+    z = np.random.default_rng(2024).uniform(-8.0, 8.0, 10**5)
+    got = erf_real(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    assert np.max(np.abs(got - erf(z))) <= 4.4e-16
+
+
+def test_erf_special_values_and_shape():
+    assert np.array_equal(erf_real(np.array([np.inf, -np.inf])), [1.0, -1.0])
+    assert np.isnan(erf_real(np.nan))
+    grid = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    got = erf_real(grid)
+    assert got.shape == (3, 4) and got.dtype == np.float64
+    assert np.array_equal(got.ravel(), erf_real(grid.ravel()))
+
+
 def test_transform_of_zero_source():
     T = transform_of(None, (0.0, 1.0))
     assert T.validity == ENTIRE
