@@ -90,6 +90,10 @@ class RootBracketFailure(FokasHeatError):
     """Eigenvalue bracketing scan failed to isolate the expected roots."""
 
 
+class OracleNotApplicable(FokasHeatError):
+    """A reference solver was asked for data outside the family it solves."""
+
+
 class ParseError(FokasHeatError):
     """Configuration text could not be parsed.
 

@@ -8,16 +8,23 @@ the piecewise-linear steady states.
 Two evaluation paths exist for the two-layer slab:
 
 * ``transcribed`` -- the final solution formulas term by term;
-* ``linear_solve`` -- at every quadrature node, solve the 4x4 system formed
-  by the two global relations at +-k (matched frequency, Dirichlet data
-  substituted, evolution-transform terms dropped since their integrals
-  vanish) for the interface and end spectral functions, then evaluate the
-  deformed-inversion representation directly.
+* ``linear_solve`` -- the global-relation assembler that the three-layer
+  slab uses too.
 
-The second path is an independent derivation executed numerically; it is the
-in-repo detector for transcription slips in the first, and the two must
-agree to quadrature tolerance (test_two_finite.py checks them kernel by
-kernel and value by value).
+The assembler (``_global_relation_solve``) takes any list of finite layers.
+At every quadrature node it solves the matched-frequency global relations
+of all layers at +-k, two per layer, for the damped value and flux
+transforms at every edge: interfaces share both, and each end fixes one
+(Dirichlet data moves to the right-hand side; an insulated end has zero
+flux).  The evolution-transform terms are dropped since their integrals
+vanish.  Each layer then integrates one rule (``_layer_integrand``): its
+right edge's combination over the lower contour and its left edge's over
+the upper one.
+
+The assembler is an independent derivation executed numerically; it is the
+in-repo detector for transcription slips in the transcribed path, and the
+two must agree to quadrature tolerance (test_two_finite.py checks them
+kernel by kernel and value by value).
 
 TRANSCRIPTION_CORRECTIONS below records every place where the transcribed
 path deviates from its published source; each entry was located by the
@@ -114,8 +121,8 @@ def delta_two_finite_real_form(sL, sR, a, b):
     return g
 
 
-def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> ExpSum:
-    """Three-layer denominators (8 exponentials each, zero at the origin).
+def delta_three_finite(sL, sM, sR, a, b, c) -> ExpSum:
+    """Three-layer denominator in the left wavenumber k (8 exponentials, zero at the origin).
 
     Derived from the insulated-slab eigencondition rather than transcribed
     (see TRANSCRIPTION_CORRECTIONS["three_finite.formulas"]): with
@@ -127,8 +134,6 @@ def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> ExpSum:
     whose positive zeros are the composite eigenvalues (at equal sigmas E
     reduces to sigma^2 sin(k(a+c)), the single-slab condition), and the
     exponential-sum form below equals (8i/sM) e^{i(al+be+rh)} E times pi.
-    ``which`` picks the wavenumber variable: "left" uses k as above,
-    "middle"/"right" rescale to their layers' wavenumbers.
     """
     pi = math.pi
     B = b * sL / sM
@@ -143,14 +148,7 @@ def delta_three_finite(sL, sM, sR, a, b, c, which: str) -> ExpSum:
         ((sL + sM) * (sM + sR), 2 * (a + B + P)),
         (-(sL + sM) * (sM + sR), 0.0),
     )
-    left = ExpSum(tuple((pi * cc, q) for cc, q in terms))
-    if which == "left":
-        return left
-    if which == "right":
-        return left.scaled(sR / sL)
-    if which == "middle":
-        return left.scaled(sM / sL)
-    raise ValueError(f"unknown which={which!r}")
+    return ExpSum(tuple((pi * cc, q) for cc, q in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -205,116 +203,158 @@ def steady_state(config: ProblemConfig) -> SteadyState:
 
 
 # ---------------------------------------------------------------------------
-# two finite layers, Dirichlet ends
+# finite layers bound by their global relations
 
 
-@dataclass(frozen=True)
-class InterfaceUnknowns:
-    """Spectral unknowns at one batch of matched-frequency nodes.
+def _global_relation_solve(sigmas, edges, k, half, data, h0, delta):
+    """Solve the matched-frequency global relations of N finite layers at each node.
 
-    All entries carry the damping factor e^{-omega t} so they stay bounded
-    on the contours: ``g0``/``g1`` are the interface value/derivative
-    transforms, ``h1_left``/``h1_right`` the unknown end-derivative
-    transforms, and ``h0_left``/``h0_right`` the known Dirichlet end-value
-    transforms they were solved against.
+    Layer j on (l, r) = (edges[j], edges[j+1]) has the wavenumber
+    kappa_j = k sigma_0/sigma_j, so every layer shares omega = (sigma_0 k)^2,
+    and one global relation at each of q = +kappa_j and q = -kappa_j:
+
+        e^{-iqr} (F_r + iq sigma_j^2 V_r) - e^{-iql} (F_l + iq sigma_j^2 V_l)
+            = -e^{-omega t} u_j-hat(q)
+
+    with the evolution term dropped (its contour integrals vanish).  V_p
+    and F_p are the e^{-omega t}-damped time transforms of u and of
+    sigma^2 u_x at edge p, so an interface shares both by continuity of
+    temperature and flux.  An insulated end fixes F = 0; a Dirichlet end
+    fixes V to its known value, which moves to the right-hand side.  Each
+    row is divided by its dominant end exponential (r where Im q > 0, l
+    where Im q < 0), so every entry stays bounded.
+
+    ``data[j]`` is the pair e^{-omega t} u_j-hat(+-kappa_j) with that same
+    dominant-endpoint offset removed, as ``eval_scaled`` returns it;
+    ``h0`` is the damped end-value transform at the left and right ends,
+    None for an insulated end; ``delta`` is the geometry's left-variable
+    denominator, whose near-zeros make the system singular.  Returns the
+    lists (V, F), one array per edge.
     """
-
-    g0: np.ndarray
-    g1: np.ndarray
-    h1_left: np.ndarray
-    h1_right: np.ndarray
-    h0_left: np.ndarray
-    h0_right: np.ndarray
-
-
-def _two_finite_nodal_solve(setup, k, kR, half, t, overrides=None):
-    """Solve the matched-frequency 4x4 global-relation system at each node.
-
-    ``k`` and ``kR = k sigma_L/sigma_R`` are the left/right wavenumbers with
-    (sL k)^2 == (sR kR)^2.  Rows are rescaled by their dominant exponential
-    per half-plane so every matrix entry stays bounded; the unknowns are
-    bounded anyway (they are e^{-omega t}-damped time transforms).
-
-    ``overrides`` (testing hook) replaces the damped data-channel values
-    {ULp, ULm, URp, URm: e^{-wt} u-hat values; H0L, H0R: damped end-value
-    transforms} so individual kernels can be extracted by injecting basis
-    vectors.
-    """
-    sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, _lift, dL = setup
-    om = (sL * k) ** 2
-    damp = np.exp(-om * t)
-
-    if overrides is None:
-        h0L = bdL.scaled_time_transform(om, t) / a1
-        h0R = bdR.scaled_time_transform(om, t) / a3
-    else:
-        h0L = overrides.get("H0L", np.zeros_like(k))
-        h0R = overrides.get("H0R", np.zeros_like(k))
-
-    if half == "lower":
-        Ea = np.exp(-1j * k * a)  # |.| < 1 here
-        Eb = np.exp(-1j * kR * b)
-        if overrides is None:
-            E1 = damp * TL.eval_scaled(k)[0]  # e^{-ika} u^L-hat(k)
-            E2 = damp * TL.eval_scaled(-k)[0]  # u^L-hat(-k)
-            E3 = damp * TR.eval_scaled(kR)[0]  # u^R-hat(kR)
-            E4 = damp * TR.eval_scaled(-kR)[0]  # e^{-ikRb} u^R-hat(-kR)
-        else:
-            E1 = Ea * overrides.get("ULp", np.zeros_like(k))
-            E2 = overrides.get("ULm", np.zeros_like(k))
-            E3 = overrides.get("URp", np.zeros_like(k))
-            E4 = Eb * overrides.get("URm", np.zeros_like(k))
-        rows = [
-            [1j * k * sL**2 * Ea, sL**2 * Ea, -(sL**2) * np.ones_like(k), np.zeros_like(k)],
-            [-1j * k * sL**2, sL**2 * np.ones_like(k), -(sL**2) * Ea, np.zeros_like(k)],
-            [-1j * kR * sR**2, -(sL**2) * np.ones_like(k), np.zeros_like(k), sR**2 * Eb],
-            [1j * kR * sR**2 * Eb, -(sL**2) * Eb, np.zeros_like(k), sR**2 * np.ones_like(k)],
-        ]
-        rhs = [
-            1j * k * sL**2 * h0L - E1,
-            -Ea * 1j * k * sL**2 * h0L - E2,
-            -Eb * 1j * kR * sR**2 * h0R - E3,
-            1j * kR * sR**2 * h0R - E4,
-        ]
-    else:
-        Ea = np.exp(1j * k * a)  # |.| < 1 on the upper half
-        Eb = np.exp(1j * kR * b)
-        if overrides is None:
-            E1 = damp * TL.eval_scaled(k)[0]  # u^L-hat(k)
-            E2 = damp * TL.eval_scaled(-k)[0]  # e^{ika} u^L-hat(-k)
-            E3 = damp * TR.eval_scaled(kR)[0]  # e^{ikRb} u^R-hat(kR)
-            E4 = damp * TR.eval_scaled(-kR)[0]  # u^R-hat(-kR)
-        else:
-            E1 = overrides.get("ULp", np.zeros_like(k))
-            E2 = Ea * overrides.get("ULm", np.zeros_like(k))
-            E3 = Eb * overrides.get("URp", np.zeros_like(k))
-            E4 = overrides.get("URm", np.zeros_like(k))
-        rows = [
-            [1j * k * sL**2, sL**2 * np.ones_like(k), -(sL**2) * Ea, np.zeros_like(k)],
-            [-1j * k * sL**2 * Ea, sL**2 * Ea, -(sL**2) * np.ones_like(k), np.zeros_like(k)],
-            [-1j * kR * sR**2 * Eb, -(sL**2) * Eb, np.zeros_like(k), sR**2 * np.ones_like(k)],
-            [1j * kR * sR**2, -(sL**2) * np.ones_like(k), np.zeros_like(k), sR**2 * Eb],
-        ]
-        rhs = [
-            Ea * 1j * k * sL**2 * h0L - E1,
-            -1j * k * sL**2 * h0L - E2,
-            -1j * kR * sR**2 * h0R - E3,
-            Eb * 1j * kR * sR**2 * h0R - E4,
-        ]
-
-    # Delta_R(kappa) = Delta_L(k), so checking the left form at k covers both
-    dv, _ = dL.eval_scaled(k, half)
+    dv, _ = delta.eval_scaled(k, half)
     amax = float(np.max(np.abs(dv))) if dv.size else 0.0
     if amax == 0.0 or float(np.min(np.abs(dv))) < 1e-12 * amax:
-        raise SingularNode("two-finite system singular at a contour node")
+        raise SingularNode("finite-layer system singular at a contour node")
 
-    A = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    bvec = np.stack(rhs, axis=-1)
-    sol = np.linalg.solve(A, bvec[..., None])[..., 0]
-    return InterfaceUnknowns(
-        g0=sol[..., 0], g1=sol[..., 1], h1_left=sol[..., 2], h1_right=sol[..., 3],
-        h0_left=h0L, h0_right=h0R,
-    ), Ea, Eb
+    n = len(sigmas)
+    end_v = {0: h0[0], n: h0[1]}
+    # unknown columns: V and F at every edge, less the one each end fixes
+    col_v, col_f = {}, {}
+    for p in range(n + 1):
+        if end_v.get(p) is None:
+            col_v[p] = len(col_v) + len(col_f)
+        if p not in end_v or end_v[p] is not None:
+            col_f[p] = len(col_v) + len(col_f)
+
+    A = np.zeros(k.shape + (2 * n, 2 * n), dtype=complex)
+    rhs = np.empty(k.shape + (2 * n,), dtype=complex)
+    sgn = -1.0 if half == "lower" else 1.0
+    for j, sig in enumerate(sigmas):
+        kap = k * (sigmas[0] / sig)
+        small = np.exp(sgn * 1j * kap * (edges[j + 1] - edges[j]))  # |.| < 1 on this half
+        for i, sq in enumerate((1.0, -1.0)):
+            row = 2 * j + i
+            iqs2 = sq * 1j * kap * sig**2
+            # r dominates where Im q > 0, i.e. where q = sq kappa lies upper
+            c_r, c_l = (1.0, -small) if sq * sgn > 0 else (small, -1.0)
+            rhs[..., row] = -data[j][i]
+            for p, c in ((j + 1, c_r), (j, c_l)):
+                if p in col_f:
+                    A[..., row, col_f[p]] = c
+                if p in col_v:
+                    A[..., row, col_v[p]] = c * iqs2
+                else:
+                    rhs[..., row] -= c * iqs2 * end_v[p]
+    sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+    zero = np.zeros(k.shape, dtype=complex)
+    V = [sol[..., col_v[p]] if p in col_v else end_v[p] for p in range(n + 1)]
+    F = [sol[..., col_f[p]] if p in col_f else zero for p in range(n + 1)]
+    return V, F
+
+
+def _layer_integrand(sigma, edges, i, kappa, half, V, F):
+    """Layer i's nodal integrand on one half contour, in its wavenumber kappa.
+
+    The lower half integrates -(F_r + i kappa sigma^2 V_r) e^{i kappa (x-r)}/2pi
+    and the upper half the same at l.  The factor e^{-i kappa e} of the
+    edge e used is folded into the values where it is bounded on the half
+    (e Im kappa <= 0); otherwise the values return as a ``(vals, -e)`` piece,
+    whose x offset the evaluator applies inside one exponential.
+    """
+    p = i + 1 if half == "lower" else i
+    e = edges[p]
+    vals = -(F[p] + 1j * kappa * sigma**2 * V[p]) / TWO_PI
+    if e == 0.0:
+        return vals
+    if (e < 0.0) == (half == "upper"):
+        return vals * np.exp(-1j * kappa * e)
+    return [(vals, -e)]
+
+
+def _data_channels(transforms, sigmas, ends, k, t):
+    """The damped data channels of ``_global_relation_solve`` at nodes k.
+
+    ``ends`` holds (BoundaryData, alpha_u) for a Dirichlet end and None for
+    an insulated one.
+    """
+    om = (sigmas[0] * k) ** 2
+    damp = np.exp(-om * t)
+    data = []
+    for T, sig in zip(transforms, sigmas):
+        kap = k * (sigmas[0] / sig)
+        data.append((damp * T.eval_scaled(kap)[0], damp * T.eval_scaled(-kap)[0]))
+    h0 = tuple(
+        None if end is None else end[0].scaled_time_transform(om, t) / end[1] for end in ends
+    )
+    return data, h0
+
+
+def _finite_layer_plans(config, transforms, ends, delta, closed_form=None) -> list[LayerPlan]:
+    """Layer plans of finite layers bound only by their global relations.
+
+    Each layer inverts its initial transform on the real line and adds its
+    ``_layer_integrand`` over both half contours; every call solves the
+    whole system at the matched left wavenumber k = kappa sigma_i/sigma_0.
+    ``ends`` is as in ``_data_channels``; ``delta`` is the left-variable
+    denominator.
+    """
+    sigmas = config.sigmas
+    edges = (config.layers[0].x_lo,) + tuple(layer.x_hi for layer in config.layers)
+    widths = [hi - lo for lo, hi in zip(edges[:-1], edges[1:])]
+    has_bdata = any(end is not None and not end[0].is_zero for end in ends)
+
+    def make_solve(i):
+        sig = sigmas[i]
+        ratio = sig / sigmas[0]
+
+        # captures ``transforms`` itself: perfbench's tracer reads the
+        # transforms a solve evaluates from its closure cells
+        def solve(kappa, half, t):
+            k = kappa * ratio
+            data, h0 = _data_channels(transforms, sigmas, ends, k, t)
+            V, F = _global_relation_solve(sigmas, edges, k, half, data, h0, delta)
+            return _layer_integrand(sig, edges, i, kappa, half, V, F)
+
+        return solve
+
+    return [
+        LayerPlan(
+            sig,
+            terms=[KernelTerm("real", 1.0 / TWO_PI, transform=T, arg_scale=1.0)],
+            solve_fn=make_solve(i),
+            solve_halves=("lower", "upper"),
+            needs_arc=True,
+            # every layer's data reaches layer i through the system
+            osc_pad=2 * sum(w * (sig / s) for w, s in zip(widths, sigmas)),
+            tail_gap=_exp_sum_min_gap(delta.scaled(sig / sigmas[0])) if has_bdata else None,
+            closed_form=closed_form,
+        )
+        for i, (sig, T) in enumerate(zip(sigmas, transforms))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# two finite layers, Dirichlet ends
 
 
 def _exp_sum_min_gap(*expsums) -> float:
@@ -509,53 +549,12 @@ def _two_finite_transcribed_plans(config) -> list[LayerPlan]:
 
 
 def _two_finite_linear_plans(config) -> list[LayerPlan]:
-    setup = _two_finite_setup(config)
-    sL, sR, a, b, TL, TR, bdL, bdR, _a1, _a3, lift, dL = setup
-
-    def solve_left(k, half, t):
-        kR = k * sL / sR
-        unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kR, half, t)
-        if half == "lower":
-            return -(sL**2) * (unk.g1 + 1j * k * unk.g0) / TWO_PI
-        # e^{ik(a+x)} sL^2 (h1L + ik h0L); Ea = e^{ika} is the bounded factor here
-        return -(sL**2) * Ea * (unk.h1_left + 1j * k * unk.h0_left) / TWO_PI
-
-    def solve_right(kappa, half, t):
-        k = kappa * sR / sL
-        unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kappa, half, t)
-        if half == "lower":
-            # e^{i kappa (x-b)} sR^2 (h1R + i kappa h0R); Eb = e^{-i kappa b}
-            return -(sR**2) * Eb * (unk.h1_right + 1j * kappa * unk.h0_right) / TWO_PI
-        return -(1j * kappa * sR**2 * unk.g0 + sL**2 * unk.g1) / TWO_PI
-
-    has_bdata = not (bdL.is_zero and bdR.is_zero)
-    gap_L = _exp_sum_min_gap(dL) if has_bdata else None
-    gap_R = _exp_sum_min_gap(dL.scaled(sR / sL)) if has_bdata else None
+    sL, sR, a, b, TL, TR, bdL, bdR, a1, a3, lift, dL = _two_finite_setup(config)
 
     def lift_fn(x, t):
         return np.asarray(lift(x), dtype=float)
 
-    left = LayerPlan(
-        sL,
-        terms=[KernelTerm("real", 1.0 / TWO_PI, transform=TL, arg_scale=1.0)],
-        solve_fn=solve_left,
-        solve_halves=("lower", "upper"),
-        needs_arc=True,
-        osc_pad=2 * a + 2 * b * sL / sR,
-        tail_gap=gap_L,
-        closed_form=lift_fn,
-    )
-    right = LayerPlan(
-        sR,
-        terms=[KernelTerm("real", 1.0 / TWO_PI, transform=TR, arg_scale=1.0)],
-        solve_fn=solve_right,
-        solve_halves=("lower", "upper"),
-        needs_arc=True,
-        osc_pad=2 * b + 2 * a * sR / sL,
-        tail_gap=gap_R,
-        closed_form=lift_fn,
-    )
-    return [left, right]
+    return _finite_layer_plans(config, (TL, TR), ((bdL, a1), (bdR, a3)), dL, closed_form=lift_fn)
 
 
 def solve_two_finite_dirichlet(
@@ -580,146 +579,34 @@ def solve_two_finite_dirichlet(
 # three finite layers, insulated ends
 
 
-def _three_finite_nodal_solve(setup, k, half, t):
-    """Solve the matched-frequency 6x6 global-relation system at each node.
-
-    Unknowns (all damped by e^{-omega t}, hence bounded): end-value
-    transforms Va at -a and Vc at c, interface value/derivative transforms
-    (V0, D0) at 0 and (Vb, Db) at b, where D0 transforms u^L_x(0, .) and
-    Db transforms u^M_x(b, .); the flux conditions fix the other one-sided
-    derivatives.  Insulated ends make the end-derivative transforms zero.
-    Rows are rescaled by their dominant exponential per half-plane so every
-    entry stays bounded; the limit system at large |Im k| is block
-    triangular and uniformly well conditioned.
-    """
-    sL, sM, sR, a, b, c, TL, TM, TR, dL = setup
-    kM = k * sL / sM
-    kR = k * sL / sR
-    om = (sL * k) ** 2
-    damp = np.exp(-om * t)
-    z = np.zeros_like(k)
-    one = np.ones_like(k)
-
-    # bounded transform values: T-tilde with its dominant-endpoint offset
-    TLp = damp * TL.eval_scaled(k)[0]
-    TLm = damp * TL.eval_scaled(-k)[0]
-    TMp = damp * TM.eval_scaled(kM)[0]
-    TMm = damp * TM.eval_scaled(-kM)[0]
-    TRp = damp * TR.eval_scaled(kR)[0]
-    TRm = damp * TR.eval_scaled(-kR)[0]
-
-    sgn = -1.0 if half == "lower" else 1.0
-    Ea = np.exp(sgn * 1j * k * a)  # all three are small on their half
-    Eb = np.exp(sgn * 1j * kM * b)
-    EcR = np.exp(sgn * 1j * kR * (c - b))
-    # columns: [Va, V0, D0, Vb, Db, Vc]; each row rescaled by its dominant
-    # exponential so entries stay bounded and the large-|Im k| limit is
-    # block triangular (left pair -> (Va | V0,D0), etc.)
-    if half == "lower":
-        rows = [
-            [-1j * k * sL**2 * one, 1j * k * sL**2 * Ea, sL**2 * Ea, z, z, z],
-            [1j * k * sL**2 * Ea, -1j * k * sL**2 * one, sL**2 * one, z, z, z],
-            [z, -1j * kM * sM**2 * one, -(sL**2) * one, 1j * kM * sM**2 * Eb, sM**2 * Eb, z],
-            [z, 1j * kM * sM**2 * Eb, -(sL**2) * Eb, -1j * kM * sM**2 * one, sM**2 * one, z],
-            [z, z, z, -1j * kR * sR**2 * one, -(sM**2) * one, 1j * kR * sR**2 * EcR],
-            [z, z, z, 1j * kR * sR**2 * EcR, -(sM**2) * EcR, -1j * kR * sR**2 * one],
-        ]
-    else:
-        rows = [
-            [-1j * k * sL**2 * Ea, 1j * k * sL**2 * one, sL**2 * one, z, z, z],
-            [1j * k * sL**2 * one, -1j * k * sL**2 * Ea, sL**2 * Ea, z, z, z],
-            [z, -1j * kM * sM**2 * Eb, -(sL**2) * Eb, 1j * kM * sM**2 * one, sM**2 * one, z],
-            [z, 1j * kM * sM**2 * one, -(sL**2) * one, -1j * kM * sM**2 * Eb, sM**2 * Eb, z],
-            [z, z, z, -1j * kR * sR**2 * EcR, -(sM**2) * EcR, 1j * kR * sR**2 * one],
-            [z, z, z, 1j * kR * sR**2 * one, -(sM**2) * one, -1j * kR * sR**2 * EcR],
-        ]
-    rhs = [-TLp, -TLm, -TMp, -TMm, -TRp, -TRm]
-
-    dv, _ = dL.eval_scaled(k, half)
-    amax = float(np.max(np.abs(dv))) if dv.size else 0.0
-    if amax == 0.0 or float(np.min(np.abs(dv))) < 1e-12 * amax:
-        raise SingularNode("three-finite system singular at a contour node")
-
-    A = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    bvec = np.stack(rhs, axis=-1)
-    sol = np.linalg.solve(A, bvec[..., None])[..., 0]
-    return {
-        "Va": sol[..., 0],
-        "V0": sol[..., 1],
-        "D0": sol[..., 2],
-        "Vb": sol[..., 3],
-        "Db": sol[..., 4],
-        "Vc": sol[..., 5],
-    }
-
-
 def _three_finite_plans(config) -> list[LayerPlan]:
     """Layer plans evaluating the derived global-relation solution.
 
-    Each layer integrates its two interface/end combinations over the
-    deformed contours in its own wavenumber (kappa), with the matched left
-    wavenumber k = kappa sigma_layer / sigma_L feeding the nodal solve:
+    ``_finite_layer_plans`` with insulated ends: per node, the six global
+    relations fix the end values (Va, Vc) and the interface values and
+    fluxes (V0, F0) and (Vb, Fb).  Each layer integrates its right edge
+    over the lower contour and its left edge over the upper one:
 
-        u_L = inv(u0_L) - (1/2pi) [ int_lower e^{ikx} sL^2 (D0 + ik V0)
+        u_L = inv(u0_L) - (1/2pi) [ int_lower e^{ikx} (F0 + ik sL^2 V0)
                                   + int_upper e^{ik(x+a)} ik sL^2 Va ]
-        u_M = inv(u0_M) - (1/2pi) [ int_lower e^{ikM(x-b)} sM^2 (Db + ikM Vb)
-                                  + int_upper e^{ikM x} (sL^2 D0 + ikM sM^2 V0) ]
+        u_M = inv(u0_M) - (1/2pi) [ int_lower e^{ikM(x-b)} (Fb + ikM sM^2 Vb)
+                                  + int_upper e^{ikM x} (F0 + ikM sM^2 V0) ]
         u_R = inv(u0_R) - (1/2pi) [ int_lower e^{ikR(x-c)} ikR sR^2 Vc
-                                  + int_upper e^{ikR(x-b)} (sM^2 Db + ikR sR^2 Vb) ]
+                                  + int_upper e^{ikR(x-b)} (Fb + ikR sR^2 Vb) ]
+
+    The last factor e^{-ikR b} grows on the upper contour, so it stays in
+    the exponent as an x offset of that piece.
     """
     sL, sM, sR = config.sigmas
     a = -config.layers[0].x_lo
     b = config.layers[1].x_hi
     c = config.layers[2].x_hi
-    TL = transform_of(config.initial_data[0], (-a, 0.0))
-    TM = transform_of(config.initial_data[1], (0.0, b))
-    TR = transform_of(config.initial_data[2], (b, c))
-    dL = delta_three_finite(sL, sM, sR, a, b, c, "left")
-    setup = (sL, sM, sR, a, b, c, TL, TM, TR, dL)
-
-    def solve_L(k, half, t):
-        unk = _three_finite_nodal_solve(setup, k, half, t)
-        if half == "lower":
-            return -(sL**2) * (unk["D0"] + 1j * k * unk["V0"]) / TWO_PI
-        Ea = np.exp(1j * k * a)
-        return -1j * k * sL**2 * Ea * unk["Va"] / TWO_PI
-
-    def solve_M(kappa, half, t):
-        unk = _three_finite_nodal_solve(setup, kappa * sM / sL, half, t)
-        if half == "lower":
-            Eb = np.exp(-1j * kappa * b)
-            return -(sM**2) * Eb * (unk["Db"] + 1j * kappa * unk["Vb"]) / TWO_PI
-        return -(sL**2 * unk["D0"] + 1j * kappa * sM**2 * unk["V0"]) / TWO_PI
-
-    def solve_R(kappa, half, t):
-        unk = _three_finite_nodal_solve(setup, kappa * sR / sL, half, t)
-        if half == "lower":
-            Ec = np.exp(-1j * kappa * c)
-            return -1j * kappa * sR**2 * Ec * unk["Vc"] / TWO_PI
-        # e^{i kappa (x-b)} phase carried separately: exp(-i kappa b) grows here
-        vals = -(sM**2 * unk["Db"] + 1j * kappa * sR**2 * unk["Vb"]) / TWO_PI
-        return [(vals, -b)]
-
-    pads = (
-        2 * (a + b * sL / sM + (c - b) * sL / sR),
-        2 * (a * sM / sL + b + (c - b) * sM / sR),
-        2 * (a * sR / sL + b * sR / sM + (c - b)),
+    transforms = tuple(
+        transform_of(src, (layer.x_lo, layer.x_hi))
+        for src, layer in zip(config.initial_data, config.layers)
     )
-    plans = []
-    for i, (sig, solve, T) in enumerate(
-        ((sL, solve_L, TL), (sM, solve_M, TM), (sR, solve_R, TR))
-    ):
-        plans.append(
-            LayerPlan(
-                sig,
-                terms=[KernelTerm("real", 1.0 / TWO_PI, transform=T, arg_scale=1.0)],
-                solve_fn=solve,
-                solve_halves=("lower", "upper"),
-                needs_arc=True,
-                osc_pad=pads[i],
-            )
-        )
-    return plans
+    delta = delta_three_finite(sL, sM, sR, a, b, c)
+    return _finite_layer_plans(config, transforms, (None, None), delta)
 
 
 def solve_three_finite(config: ProblemConfig, numerics: Numerics | None = None) -> SolutionField:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fokas_heat as fh
-from fokas_heat.errors import RootBracketFailure, TruncationTooTight
+from fokas_heat.errors import OracleNotApplicable, RootBracketFailure, TruncationTooTight
 from fokas_heat.oracles import (
     _initial_profile,
     classical_series_two_finite,
@@ -250,3 +250,31 @@ def test_run_verification_all_geometries(three_infinite_config, three_finite_con
     ):
         checks = run_verification(cfg, t_check=0.15, quick=True)
         assert checks and all(c.passed for c in checks), [c.line() for c in checks]
+
+
+def test_arc_radius_check_moves_the_arc_on_infinite_geometries(fig5_config, three_infinite_config):
+    # these plans need no arc; unless the check forces one, both radii
+    # build the same contours and the check reads exactly zero
+    for cfg, t in ((fig5_config, 0.008), (three_infinite_config, 0.08)):
+        checks = run_verification(cfg, t_check=t, quick=True)
+        arc = next(c for c in checks if c.name == "arc_radius_independence")
+        assert arc.passed and arc.error > 0.0, arc.line()
+
+
+def _time_dependent_slab():
+    bd = fh.BoundaryData(((1.0, 0, 0.0), (-1.0, 0, -3.0)))  # 1 - e^{-3t}
+    return fh.two_finite(1.0, 2.0, 1.0, 1.0, left_value=0.0, right_value=bd)
+
+
+def test_classical_series_refuses_time_dependent_end_data():
+    with pytest.raises(OracleNotApplicable):
+        classical_series_two_finite(_time_dependent_slab(), 50)
+
+
+def test_verify_checks_time_dependent_end_data_against_fd():
+    checks = {c.name: c for c in run_verification(_time_dependent_slab(), t_check=0.4)}
+    assert "classical_series" not in checks
+    assert checks["dual_path_agreement"].passed
+    # reported, not asserted to pass: the probe nearest the driven end
+    # (x = 0.9) sees the end-layer error of the boundary kernels
+    assert math.isfinite(checks["crank_nicolson_agreement"].error)

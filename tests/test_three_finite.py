@@ -40,7 +40,7 @@ def total_heat(sol, t):
 
 
 def test_delta_zero_at_origin_and_real_zeros():
-    d = delta_three_finite(1.0, 0.7, 1.4, 1.0, 1.0, 2.0, "left")
+    d = delta_three_finite(1.0, 0.7, 1.4, 1.0, 1.0, 2.0)
     assert abs(d(0.0)) < 1e-12
     g = delta_three_finite_real_form(1.0, 0.7, 1.4, 1.0, 1.0, 2.0)
     # the exponential-sum and trigonometric forms describe the same zeros:
@@ -65,7 +65,7 @@ def test_delta_equal_sigma_single_slab_eigenvalues():
 def test_delta_bounded_on_contours():
     from fokas_heat.contours import build_contour
 
-    d = delta_three_finite(1.0, 0.7, 1.4, 1.0, 1.0, 2.0, "left")
+    d = delta_three_finite(1.0, 0.7, 1.4, 1.0, 1.0, 2.0)
     for half in ("upper", "lower"):
         cc = build_contour(half, 0.7, 0.05, x_scale=8.0, avoid_origin=True, r=1.0)
         dv, _ = d.eval_scaled(cc.nodes, half)
@@ -146,6 +146,20 @@ def test_reflection_symmetry(three_finite_full_config):
     xs = np.array([-0.9, -0.3, 0.2, 0.9, 1.2, 1.9])
     t = 0.2
     np.testing.assert_allclose(sol.values(xs, t), msol.values(b - xs, t), atol=1e-9)
+
+
+def test_fake_interface_between_equal_materials_can_move():
+    # the interface at b separates two layers of the same material, so it
+    # is no interface at all: moving it must leave the field unchanged
+    left = fh.SampledInterval(lambda x: np.sin(np.pi * x / 2) ** 2 * (1 + x), -1.0, 0.0)
+    xs = np.linspace(-1.0, 2.0, 61)
+    sols = [
+        solve_three_finite(fh.three_finite(1.0, 0.7, 0.7, 1.0, b, 2.0, left_initial=left))
+        for b in (0.8, 1.3)
+    ]
+    for t in (0.05, 0.2, 1.0):
+        u1, u2 = (sol.values(xs, t) for sol in sols)
+        assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1)), t
 
 
 def test_long_time_limit_is_mean(three_finite_config):

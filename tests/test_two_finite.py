@@ -7,16 +7,13 @@ import fokas_heat as fh
 from fokas_heat._field import Numerics
 from fokas_heat.oracles import classical_series_two_finite
 from fokas_heat.solver_finite import (
-    InterfaceUnknowns,
-    _two_finite_nodal_solve,
-    _two_finite_setup,
+    _global_relation_solve,
+    _layer_integrand,
     delta_two_finite_left,
     delta_two_finite_right,
     solve_two_finite_dirichlet,
     steady_state,
 )
-
-TWO_PI = 2 * math.pi
 
 
 def delta_two_finite_product_form(sL, sR, a, b):
@@ -239,27 +236,31 @@ def _transcribed_kernels(sL, sR, a, b, chan, half, k, kR):
 @pytest.mark.parametrize("half", ["lower", "upper"])
 @pytest.mark.parametrize("chan", ["ULp", "ULm", "URp", "URm", "H0L", "H0R"])
 def test_kernel_extraction_matches_linear_solve(half, chan):
-    """Inject basis vectors into the nodal global-relation solve and compare
-    the resulting integrands with the corrected final-formula kernels, one
-    data channel at a time.  This is the transcription typo detector: it
-    localizes any misprint to a single kernel."""
+    """Inject basis vectors into the global-relation assembler's data
+    arguments and compare the resulting integrands with the corrected
+    final-formula kernels, one data channel at a time.  This is the
+    transcription typo detector: it localizes any misprint to a single
+    kernel."""
     rng = np.random.default_rng(11)
     sL, sR, a, b = 0.9, 1.9, 1.1, 1.4
-    cfg = fh.two_finite(sL, sR, a, b)
-    setup = _two_finite_setup(cfg)
+    sigmas, edges = (sL, sR), (-a, 0.0, b)
     sgn = -1 if half == "lower" else 1
     k = rng.uniform(0.4, 6, 7) + 1j * sgn * rng.uniform(0.2, 1.6, 7)
     kR = k * sL / sR
-    chans = ("ULp", "ULm", "URp", "URm", "H0L", "H0R")
-    ov = {c: (np.ones_like(k) if c == chan else np.zeros_like(k)) for c in chans}
-    unk, Ea, Eb = _two_finite_nodal_solve(setup, k, kR, half, 0.4, overrides=ov)
-    assert isinstance(unk, InterfaceUnknowns)
-    if half == "lower":
-        lin_L = -(sL**2) * (unk.g1 + 1j * k * unk.g0) / TWO_PI
-        lin_R = -(sR**2) * Eb * (unk.h1_right + 1j * kR * unk.h0_right) / TWO_PI
+    zero = np.zeros_like(k)
+    data = [[zero, zero], [zero, zero]]
+    h0 = [zero, zero]
+    if chan.startswith("U"):
+        # unit u-hat(q); the assembler takes it with the dominant-endpoint
+        # offset removed, as eval_scaled returns it: u-hat(q) e^{iq l or r}
+        j = 0 if chan[1] == "L" else 1
+        q = (k, kR)[j] * (1 if chan[2] == "p" else -1)
+        data[j][0 if chan[2] == "p" else 1] = np.exp(1j * q * edges[j + 1 if q[0].imag > 0 else j])
     else:
-        lin_L = -(sL**2) * Ea * (unk.h1_left + 1j * k * unk.h0_left) / TWO_PI
-        lin_R = -(1j * kR * sR**2 * unk.g0 + sL**2 * unk.g1) / TWO_PI
+        h0[0 if chan == "H0L" else 1] = np.ones_like(k)
+    V, F = _global_relation_solve(sigmas, edges, k, half, data, h0, delta_two_finite_left(sL, sR, a, b))
+    lin_L = _layer_integrand(sL, edges, 0, k, half, V, F)
+    lin_R = _layer_integrand(sR, edges, 1, kR, half, V, F)
     kerL, kerR = _transcribed_kernels(sL, sR, a, b, chan, half, k, kR)
     np.testing.assert_allclose(lin_L, kerL, atol=1e-13)
     np.testing.assert_allclose(lin_R, kerR, atol=1e-13)
