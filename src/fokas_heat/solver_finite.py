@@ -7,9 +7,10 @@ the piecewise-linear steady states.
 
 Two evaluation paths exist for the two-layer slab:
 
-* ``transcribed`` -- the final solution formulas term by term;
-* ``linear_solve`` -- the global-relation assembler that the three-layer
-  slab uses too.
+* ``linear_solve`` (the default) -- the global-relation assembler that the
+  three-layer slab uses too;
+* ``transcribed`` -- the final solution formulas term by term, kept as
+  ``verify``'s ``dual_path_agreement`` cross-check.
 
 The assembler (``_global_relation_solve``) takes any list of finite layers.
 At every quadrature node it solves the matched-frequency global relations
@@ -560,9 +561,14 @@ def _two_finite_linear_plans(config) -> list[LayerPlan]:
 def solve_two_finite_dirichlet(
     config: ProblemConfig,
     numerics: Numerics | None = None,
-    path: str = "transcribed",
+    path: str = "linear_solve",
 ) -> SolutionField:
-    """Build the evaluator for the two-finite-layer Dirichlet problem."""
+    """Build the evaluator for the two-finite-layer Dirichlet problem.
+
+    ``path="linear_solve"`` solves the assembled global relations per node,
+    as every finite stack does; ``path="transcribed"`` evaluates the paper's
+    printed formulas, which ``verify`` keeps as an independent cross-check.
+    """
     validate(config)
     if config.geometry != Geometry.TWO_FINITE:
         raise FokasHeatError("solve_two_finite_dirichlet requires two_finite geometry")

@@ -107,7 +107,7 @@ def test_criterion_3_whole_line_reduction():
 
 def test_criterion_4_two_finite(slab_config, steady_slab_config):
     xs = np.array([-0.95, -0.6, -0.2, 0.0, 0.2, 0.5, 0.8, 0.95])
-    st_path = solve_two_finite_dirichlet(slab_config)
+    st_path = solve_two_finite_dirichlet(slab_config, path="transcribed")
     lin_path = solve_two_finite_dirichlet(slab_config, path="linear_solve")
     dual = max(
         np.max(np.abs(st_path.values(xs, t) - lin_path.values(xs, t))) for t in (0.05, 0.3)

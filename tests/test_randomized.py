@@ -30,7 +30,7 @@ def test_dual_path_agreement_randomized():
     rng = np.random.default_rng(424242)
     for trial in range(6):
         cfg = random_two_finite(rng)
-        st = solve_two_finite_dirichlet(cfg)
+        st = solve_two_finite_dirichlet(cfg, path="transcribed")
         sl = solve_two_finite_dirichlet(cfg, path="linear_solve")
         a, b = -cfg.layers[0].x_lo, cfg.layers[1].x_hi
         xs = np.linspace(-0.97 * a, 0.97 * b, 9)

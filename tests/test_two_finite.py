@@ -119,7 +119,7 @@ def test_long_time_limit_hits_steady(steady_slab_config):
 
 
 def test_dual_path_agreement(slab_config):
-    st = solve_two_finite_dirichlet(slab_config)
+    st = solve_two_finite_dirichlet(slab_config, path="transcribed")
     sl = solve_two_finite_dirichlet(slab_config, path="linear_solve")
     xs = np.array([-0.95, -0.6, -0.2, 0.0, 0.2, 0.5, 0.8, 0.95])
     for t in (0.05, 0.1, 0.7):
